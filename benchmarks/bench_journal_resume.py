@@ -16,6 +16,7 @@ import os
 import time
 
 from repro.campaign import RetryPolicy, record_golden, run_full_scan
+from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.programs import hi, sync2
 
 
@@ -75,15 +76,15 @@ def test_killed_worker_is_retried_and_result_unchanged(tmp_path):
     """SIGKILL a shard worker mid-campaign; retry must restore exactness."""
     golden = record_golden(_program())
     baseline = run_full_scan(golden, keep_records=True)
-    os.environ["REPRO_CHAOS"] = \
-        '{"die": [[0, 0]], "die_delay": 0.2}'
+    os.environ[PLAN_ENV] = ChaosPlan(kill_shards=((0, 0),),
+                                     delay_seconds=0.2).to_json()
     try:
         survived = run_full_scan(
             golden, jobs=2, keep_records=True,
             journal=tmp_path / "chaos.sqlite",
             policy=RetryPolicy(backoff=0.05))
     finally:
-        del os.environ["REPRO_CHAOS"]
+        del os.environ[PLAN_ENV]
     assert survived == baseline
     assert survived.execution.shard_retries >= 1
     assert survived.execution.complete

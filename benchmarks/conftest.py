@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 The paper-scale campaigns (full fault-space scans of the four Figure 2
-variants) take minutes; their summaries are cached on disk under
-``benchmarks/.cache`` keyed by program content, so repeated benchmark
-runs only pay the cost once.  Reports regenerated from the results are
+variants) take minutes; their summaries are cached in one journal file
+under ``benchmarks/.cache`` keyed by program content, so repeated
+benchmark runs only pay the cost once.  Reports regenerated from the results are
 written to ``benchmarks/output/`` as plain-text artifacts.
 """
 
@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import (
-    CampaignCache,
     CampaignSummary,
+    ExperimentJournal,
+    JournalCache,
     record_golden,
     run_full_scan,
 )
@@ -24,8 +25,10 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
-def campaign_cache() -> CampaignCache:
-    return CampaignCache(CACHE_DIR)
+def campaign_cache() -> JournalCache:
+    CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    with ExperimentJournal(CACHE_DIR / "summaries.sqlite") as journal:
+        yield JournalCache(journal)
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +37,7 @@ def output_dir() -> Path:
     return OUTPUT_DIR
 
 
-def _scan_summary(cache: CampaignCache, program) -> CampaignSummary:
+def _scan_summary(cache: JournalCache, program) -> CampaignSummary:
     return cache.get_or_run(
         program, lambda: run_full_scan(record_golden(program)))
 

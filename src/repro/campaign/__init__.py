@@ -1,8 +1,7 @@
 """Fault-injection campaign engine (the FAIL*-equivalent substrate)."""
 
-from .compose import SectionComposer, build_composer, compose_into_completed
+from .compose import SectionComposer, build_composer
 from .database import (
-    CampaignCache,
     CampaignSummary,
     JournalCache,
     export_class_results_csv,
@@ -24,7 +23,7 @@ from .journal import (
     JournalMismatchError,
 )
 from .dist import DistCoordinator, DistWorker, run_distributed_scan
-from .parallel import ParallelCampaign, RetryPolicy, resolve_jobs
+from .parallel import RetryPolicy, resolve_jobs
 from .golden import (
     DEFAULT_GOLDEN_CYCLE_LIMIT,
     MAX_CHECKPOINTS,
@@ -41,14 +40,6 @@ from .outcomes import (
     PANIC_CODE,
     classify,
 )
-from .registers import (
-    RegisterCampaignResult,
-    RegisterExperimentExecutor,
-    collect_pc_trace,
-    register_partition,
-    run_register_brute_force,
-    run_register_scan,
-)
 from .runner import (
     BruteForceResult,
     CampaignResult,
@@ -63,7 +54,6 @@ __all__ = [
     "BENIGN_OUTCOMES",
     "BruteForceResult",
     "CORRECTED_CODE",
-    "CampaignCache",
     "CampaignResult",
     "CampaignSummary",
     "DEFAULT_GOLDEN_CYCLE_LIMIT",
@@ -82,8 +72,6 @@ __all__ = [
     "JournalMismatchError",
     "SectionComposer",
     "build_composer",
-    "compose_into_completed",
-    "ParallelCampaign",
     "RetryPolicy",
     "resolve_jobs",
     "CheckpointLadder",
@@ -92,13 +80,7 @@ __all__ = [
     "MAX_CHECKPOINTS",
     "Outcome",
     "PANIC_CODE",
-    "RegisterCampaignResult",
-    "RegisterExperimentExecutor",
     "SAMPLERS",
-    "collect_pc_trace",
-    "register_partition",
-    "run_register_brute_force",
-    "run_register_scan",
     "SamplingResult",
     "classify",
     "export_class_results_csv",

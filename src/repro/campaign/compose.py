@@ -8,12 +8,13 @@ answers two questions:
 
 * *compose*: does the store already hold results — written by **any**
   previous campaign, typically a different program variant or an
-  earlier sweep — for every experiment of this equivalence class?  If
-  so, the class's rows are returned without executing anything and the
-  runner merges them exactly as it merges resumed journal rows.
-* *store*: a freshly executed class/experiment is written back
-  first-wins (INSERT OR IGNORE), so concurrent or repeated campaigns
-  agree with the dist fabric's at-least-once merge discipline.
+  earlier sweep — for every requested experiment of one (slot, axis)?
+  If so, the rows are returned without executing anything and the
+  campaign lifecycle merges them exactly as it merges resumed journal
+  rows.
+* *store*: freshly executed experiments are written back first-wins
+  (INSERT OR IGNORE), so concurrent or repeated campaigns agree with
+  the dist fabric's at-least-once merge discipline.
 
 Soundness rests on the section fingerprint (see
 ``faultspace/sections.py``): equal fingerprints imply identical entry
@@ -22,10 +23,10 @@ identical executor budget, so every (slot, axis, bit) experiment in
 the window has identical outcome, end cycle and trap.  Two deliberate
 exclusions keep the store trustworthy:
 
-* **Synthesized timeouts never enter the store.**  The parallel
-  engine's wall-clock shard guard classifies abandoned experiments as
-  TIMEOUT — a policy artifact of one run's scheduling, not a property
-  of the program.  Runners only store results the simulator actually
+* **Synthesized timeouts never enter the store.**  The process pool's
+  wall-clock shard guard classifies abandoned experiments as TIMEOUT —
+  a policy artifact of one run's scheduling, not a property of the
+  program.  Campaigns only store results the simulator actually
   produced.
 * **Brute-force scans neither read nor write the store.**  They exist
   to validate the def/use pruning against ground truth; composing
@@ -39,7 +40,6 @@ import json
 
 from ..faultspace.sections import build_section_map
 from .journal import CampaignJournal
-from .outcomes import Outcome
 
 
 class SectionComposer:
@@ -47,9 +47,7 @@ class SectionComposer:
 
     def __init__(self, handle: CampaignJournal, golden, domain,
                  params: dict | None):
-        self.handle = handle
         self.journal = handle.journal
-        self.domain = domain
         self.map = build_section_map(golden, domain, params)
         self._ids: dict[int, int] = {}
         for section in self.map:
@@ -77,57 +75,28 @@ class SectionComposer:
             self._rows[index] = cached
         return cached
 
-    # -- full-scan classes ----------------------------------------------------
+    def compose(self, slot: int, axis: int, bits):
+        """Stored ``(bit, outcome, end_cycle, trap)`` rows, or ``None``.
 
-    def compose_class(self, interval):
-        """Per-bit rows of one live class from the store, or ``None``.
-
-        A class composes only when *every* representative bit is
-        stored — partial classes re-execute whole, preserving the
-        class-atomic crash-tolerance unit.
+        Returns rows only when *every* bit in ``bits`` is stored, so a
+        partially stored class re-executes whole.
         """
-        slot = interval.injection_slot
-        axis = self.domain.axis_of(interval)
-        rows = self._section_rows(self.map.owner(slot).index)
-        out = []
-        for bit in range(self.domain.experiment_count(interval)):
-            hit = rows.get((slot, axis, bit))
+        stored = self._section_rows(self.map.owner(slot).index)
+        rows = []
+        for bit in bits:
+            hit = stored.get((slot, axis, bit))
             if hit is None:
                 return None
-            outcome, end_cycle, trap = hit
-            out.append((bit, outcome, end_cycle, trap))
-        return out
+            rows.append((bit, *hit))
+        return rows
 
-    def store_class(self, interval, rows) -> None:
-        """Write one freshly executed class into the section store.
-
-        ``rows`` holds ``(bit, outcome, end_cycle, trap)`` with the
-        outcome as either the enum or its string value.
-        """
-        slot = interval.injection_slot
-        axis = self.domain.axis_of(interval)
+    def store(self, slot: int, axis: int, rows) -> None:
+        """Write freshly executed ``(bit, outcome, end_cycle, trap)``
+        rows of one (slot, axis) into the section store."""
         section_id = self._ids[self.map.owner(slot).index]
         self.journal.merge_section_rows(section_id, [
-            (slot, axis, bit,
-             outcome.value if isinstance(outcome, Outcome) else outcome,
-             end_cycle, trap)
+            (slot, axis, bit, outcome.value, end_cycle, trap)
             for bit, outcome, end_cycle, trap in rows])
-
-    # -- sampled experiments --------------------------------------------------
-
-    def compose_experiment(self, slot: int, axis: int, bit: int):
-        """One experiment's ``(outcome, end_cycle, trap)`` or ``None``."""
-        return self._section_rows(self.map.owner(slot).index).get(
-            (slot, axis, bit))
-
-    def store_experiment(self, slot: int, axis: int, bit: int,
-                         outcome, end_cycle: int, trap: str) -> None:
-        """Write one freshly executed sampled experiment to the store."""
-        section_id = self._ids[self.map.owner(slot).index]
-        self.journal.merge_section_rows(section_id, [
-            (slot, axis, bit,
-             outcome.value if isinstance(outcome, Outcome) else outcome,
-             end_cycle, trap)])
 
 
 def build_composer(handle, golden, domain, params):
@@ -140,37 +109,3 @@ def build_composer(handle, golden, domain, params):
     if handle is None:
         return None
     return SectionComposer(handle, golden, domain, params)
-
-
-def compose_into_completed(composer, live, completed, handle,
-                           report) -> int:
-    """Inject store-composable classes into a ``completed`` mapping.
-
-    The serial, parallel and distributed full-scan runners all consult
-    a ``(axis, first_slot) → rows`` mapping of journaled classes before
-    executing; extending that mapping here means composed classes flow
-    through the exact resume machinery those runners already have —
-    same ordering, same record reconstruction, same accounting — which
-    is what makes the bit-for-bit invariant cheap to keep.  Composed
-    experiments are counted in ``report.composed_hits`` (and, by
-    virtue of living in the mapping, in ``resumed``).
-    """
-    if composer is None:
-        return 0
-    batch = []
-    for interval in live:
-        key = composer.domain.class_key(interval)
-        if key in completed:
-            continue
-        rows = composer.compose_class(interval)
-        if rows is None:
-            continue
-        completed[key] = rows
-        batch.append((key[0], key[1],
-                      [(bit, outcome.value, end_cycle, trap)
-                       for bit, outcome, end_cycle, trap in rows]))
-        report.composed_hits += len(rows)
-    # One transaction for the whole composition: composing dozens of
-    # classes must not pay dozens of fsyncs.
-    handle.record_classes(batch)
-    return len(batch)

@@ -5,13 +5,12 @@ keyed by program content lets the benchmark harness regenerate every
 figure without re-running campaigns that have not changed — the same
 role FAIL*'s experiment database plays in the original toolchain.
 
-Summary caching has been folded into the experiment journal (schema v2
-``summaries`` table): :class:`JournalCache` offers the same
-``load``/``store``/``get_or_run`` surface on top of an open
+Summaries are cached in the experiment journal (schema v2 ``summaries``
+table): :class:`JournalCache` offers a ``load``/``store``/``get_or_run``
+surface on top of an open
 :class:`~repro.campaign.journal.ExperimentJournal`, so the summaries
 live in the same SQLite file as the campaigns and section results they
-came from.  The directory-of-JSON :class:`CampaignCache` remains as a
-compatibility shim for existing cache directories.
+came from.
 """
 
 from __future__ import annotations
@@ -94,64 +93,16 @@ def program_fingerprint(program: Program) -> str:
     return digest.hexdigest()[:24]
 
 
-class CampaignCache:
-    """A directory of :class:`CampaignSummary` JSON files keyed by program.
-
-    ``get_or_run`` is the main entry point: it returns the cached summary
-    when the program (source, data, ROM, RAM size) is unchanged, and
-    otherwise invokes the supplied campaign thunk and stores its summary.
-
-    .. deprecated::
-        New code should use :class:`JournalCache`, which stores the same
-        summaries inside the experiment journal next to the campaign and
-        section-result rows they were computed from.  This class is kept
-        so existing cache directories keep hitting.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, program: Program, domain: str = "memory") -> Path:
-        # Memory-domain entries keep the original (domain-less) file
-        # names so caches written before fault domains existed still
-        # hit; other domains get a suffix to avoid collisions.
-        suffix = "" if domain == "memory" else f"-{domain}"
-        return self.directory / (
-            f"{program.name}-{program_fingerprint(program)}{suffix}.json")
-
-    def load(self, program: Program,
-             domain: str = "memory") -> CampaignSummary | None:
-        path = self._path(program, domain)
-        if not path.exists():
-            return None
-        try:
-            return CampaignSummary.from_json(path.read_text())
-        except (json.JSONDecodeError, TypeError):
-            return None  # stale or corrupt cache entry; recompute
-
-    def store(self, program: Program, summary: CampaignSummary) -> None:
-        self._path(program, summary.domain).write_text(summary.to_json())
-
-    def get_or_run(self, program: Program, thunk,
-                   domain: str = "memory") -> CampaignSummary:
-        """Return the cached summary or run ``thunk() -> CampaignResult``."""
-        cached = self.load(program, domain)
-        if cached is not None:
-            return cached
-        summary = CampaignSummary.from_result(thunk())
-        self.store(program, summary)
-        return summary
-
-
 class JournalCache:
     """Campaign-summary cache backed by the experiment journal.
 
-    The journal-native successor of :class:`CampaignCache`: summaries
-    are stored in the journal's ``summaries`` table (schema v2), keyed
-    by program fingerprint and fault domain, so one SQLite file carries
-    the campaigns, the cross-campaign section store *and* the summary
-    cache the figure/benchmark harnesses read.
+    ``get_or_run`` is the main entry point: it returns the cached
+    summary when the program (source, data, ROM, RAM size) is unchanged,
+    and otherwise invokes the supplied campaign thunk and stores its
+    summary.  Summaries live in the journal's ``summaries`` table
+    (schema v2), keyed by program fingerprint and fault domain, so one
+    SQLite file carries the campaigns, the cross-campaign section store
+    *and* the summary cache the figure/benchmark harnesses read.
     """
 
     def __init__(self, journal):

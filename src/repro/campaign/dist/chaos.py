@@ -34,13 +34,16 @@ Event taxonomy (all independent per result frame):
 ``lie`` additionally honors :attr:`ChaosPlan.liars`: when non-empty,
 only the named workers ever lie, which is how the byzantine-detection
 tests plant exactly one corrupted worker in an otherwise honest fleet.
+The counter fields (``die_after_results``, ``drop_after_results``,
+``duplicate_results``) fire once at fixed result indices through the
+same proxy.
 
-The legacy ``REPRO_DIST_CHAOS`` env hooks (``die_after_results``,
-``drop_after_results``, ``duplicate_results``) are kept as counter
-fields on the plan and routed through the same proxy; specifying them
-via the old env variable still works behind :func:`plan_from_env` but
-emits a :class:`DeprecationWarning`.  New code ships a whole plan via
-``REPRO_CHAOS_PLAN`` (JSON) or the ``chaos=`` constructor argument.
+The same plan also drives the process pool
+(:mod:`repro.campaign.parallel`): ``kill_shards`` and ``hang_shards``
+name ``(shard, attempt)`` pairs whose pool worker dies or wedges.  A
+plan reaches subprocesses — fabric workers and pool workers alike — as
+JSON in ``REPRO_CHAOS_PLAN``, or in-process via the ``chaos=``
+constructor argument.
 """
 
 from __future__ import annotations
@@ -50,18 +53,12 @@ import json
 import os
 import random
 import time
-import warnings
 
 from ..outcomes import Outcome
 from .protocol import FrameStream, result_digest
 
 #: Environment variable carrying a full serialized :class:`ChaosPlan`.
 PLAN_ENV = "REPRO_CHAOS_PLAN"
-#: Legacy environment variable (counter dict); deprecated.
-LEGACY_ENV = "REPRO_DIST_CHAOS"
-
-_LEGACY_KEYS = frozenset(
-    {"die_after_results", "drop_after_results", "duplicate_results"})
 
 
 class ChaosInterrupt(ConnectionError):
@@ -101,11 +98,17 @@ class ChaosPlan:
     #: Sleep :attr:`hang_seconds` after sending (wedged worker).
     hang_rate: float = 0.0
     hang_seconds: float = 30.0
+    #: Process-pool ``(shard, attempt)`` pairs whose worker sleeps
+    #: :attr:`delay_seconds`, then ``os._exit(13)`` (a SIGKILLed one).
+    kill_shards: tuple[tuple[int, int], ...] = ()
+    #: Process-pool ``(shard, attempt)`` pairs whose worker sleeps
+    #: :attr:`hang_seconds` before running the shard (a wedged one).
+    hang_shards: tuple[tuple[int, int], ...] = ()
     #: Workers allowed to ``lie``; empty means every worker may.
     liars: tuple[str, ...] = ()
     #: Class keys whose execution kills the worker (poison-shard tests).
     die_on_keys: tuple[tuple[int, int], ...] = ()
-    #: Legacy counters (cumulative across reconnects, firing once).
+    #: Counters (cumulative across reconnects, firing once).
     die_after_results: int | None = None
     drop_after_results: int | None = None
     duplicate_results: int = 0
@@ -115,9 +118,9 @@ class ChaosPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "liars", tuple(self.liars))
-        object.__setattr__(
-            self, "die_on_keys",
-            tuple(tuple(int(v) for v in key) for key in self.die_on_keys))
+        for name in ("die_on_keys", "kill_shards", "hang_shards"):
+            object.__setattr__(self, name, tuple(
+                tuple(int(v) for v in pair) for pair in getattr(self, name)))
 
     @property
     def active(self) -> bool:
@@ -126,6 +129,7 @@ class ChaosPlan:
             self.drop_rate or self.dup_rate or self.corrupt_rate
             or self.lie_rate or self.delay_rate or self.kill_rate
             or self.hang_rate or self.die_on_keys
+            or self.kill_shards or self.hang_shards
             or self.die_after_results is not None
             or self.drop_after_results is not None
             or self.duplicate_results)
@@ -135,7 +139,8 @@ class ChaosPlan:
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["liars"] = list(self.liars)
-        out["die_on_keys"] = [list(key) for key in self.die_on_keys]
+        for name in ("die_on_keys", "kill_shards", "hang_shards"):
+            out[name] = [list(pair) for pair in getattr(self, name)]
         return out
 
     def to_json(self) -> str:
@@ -156,48 +161,24 @@ class ChaosPlan:
         return cls.from_dict(json.loads(text))
 
 
-def plan_from_spec(spec, *, warn: bool = True) -> ChaosPlan | None:
+def plan_from_spec(spec) -> ChaosPlan | None:
     """Normalize a ``chaos=`` argument into a :class:`ChaosPlan`.
 
-    Accepts ``None``, a plan, a plan-shaped dict, or a legacy
-    ``REPRO_DIST_CHAOS``-style counter dict (deprecation shim: the old
-    counters become plan fields and warn once per call site).
+    Accepts ``None``, a plan, or a plan-shaped dict (empty means none).
     """
     if spec is None or isinstance(spec, ChaosPlan):
         return spec
     if not isinstance(spec, dict):
         raise TypeError(f"chaos spec must be a dict or ChaosPlan, "
                         f"got {type(spec).__name__}")
-    if spec and set(spec) <= _LEGACY_KEYS:
-        if warn:
-            warnings.warn(
-                "counter-style chaos dicts (die_after_results/"
-                "drop_after_results/duplicate_results) are deprecated; "
-                "pass a ChaosPlan (campaign.dist.chaos) instead",
-                DeprecationWarning, stacklevel=3)
-        return ChaosPlan(**spec)
     return ChaosPlan.from_dict(spec) if spec else None
 
 
 def plan_from_env(environ=None) -> ChaosPlan | None:
-    """The chaos plan a worker process inherits from its environment.
-
-    ``REPRO_CHAOS_PLAN`` (a serialized plan) wins; the legacy
-    ``REPRO_DIST_CHAOS`` counter dict is honored behind a
-    :class:`DeprecationWarning`.
-    """
+    """The chaos plan a subprocess inherits from ``REPRO_CHAOS_PLAN``."""
     environ = os.environ if environ is None else environ
     text = environ.get(PLAN_ENV)
-    if text:
-        return ChaosPlan.from_json(text)
-    legacy = environ.get(LEGACY_ENV)
-    if legacy:
-        warnings.warn(
-            f"{LEGACY_ENV} is deprecated; set {PLAN_ENV} to a "
-            f"serialized ChaosPlan instead", DeprecationWarning,
-            stacklevel=2)
-        return plan_from_spec(json.loads(legacy), warn=False)
-    return None
+    return ChaosPlan.from_json(text) if text else None
 
 
 #: Fixed draw order — part of the reproducibility contract: adding a new
@@ -287,7 +268,7 @@ class ChaosFrameStream:
 
     Non-result frames (hello, request, heartbeat, lease_done) pass
     through untouched — the schedule is defined over *result* frames so
-    it stays aligned with the legacy counters and with what actually
+    it stays aligned with the counter fields and with what actually
     threatens result integrity.
     """
 
@@ -351,7 +332,6 @@ class ChaosFrameStream:
 
 
 __all__ = [
-    "LEGACY_ENV",
     "PLAN_ENV",
     "ChaosFrameStream",
     "ChaosInterrupt",

@@ -2,7 +2,7 @@
 
 One coordinator process runs the distributed campaign.  It records the
 golden run, plans the same contiguous cost-balanced shards the
-in-process pool would (:func:`~repro.campaign.parallel.plan_class_shards`
+in-process pool would (:func:`~repro.campaign.parallel.shard_by_cost`
 over the *full* live-class list, so shard indices are stable across
 coordinator restarts), and serves a TCP endpoint where workers pull
 :class:`~.leases.ShardLease` grants and stream per-class results back.
@@ -72,20 +72,13 @@ from collections import Counter
 from typing import Callable
 
 from ...faultspace.domain import FaultDomain, MEMORY, get_domain
-from ..compose import build_composer, compose_into_completed
 from ..database import program_fingerprint
-from ..experiment import ExecutorConfig, ExperimentRecord
+from ..experiment import ExecutorConfig
 from ..golden import GoldenRun
-from ..journal import (
-    CampaignJournal,
-    ExecutionReport,
-    ExperimentJournal,
-    invalid_classes,
-    open_campaign,
-)
+from ..journal import ExecutionReport, ExperimentJournal
 from ..outcomes import Outcome
-from ..parallel import (RetryPolicy, class_cost, plan_class_shards,
-                        tune_shard_count)
+from ..parallel import RetryPolicy, shard_by_cost, tune_shard_count
+from ..runner import Campaign, FullScan, campaign_params
 from .chaos import PLAN_ENV, ChaosPlan, plan_from_spec
 from .leases import FAILED, LEASED, LeaseBoard
 from .protocol import (PROTOCOL_VERSION, ProtocolError, read_frame,
@@ -203,19 +196,10 @@ class DistCoordinator:
         #: Per worker: merged-but-not-yet-verified keys (what a
         #: byzantine conviction discards).
         self._delivered: dict[str, set] = {}
-        self._expected_rows: dict[tuple, int] = {}
         self._next_verify_id = 0
         self._drain_deadline: float | None = None
 
     # -- identity shipped to workers -------------------------------------------
-
-    def _journal_params(self) -> dict:
-        """Same campaign key as the serial and pool engines, so one
-        journal resumes under any of the three."""
-        return {
-            "timeout_cycles": self.config.timeout_cycles(self.golden.cycles),
-            "early_stop": self.config.early_stop,
-        }
 
     def _campaign_message(self) -> dict:
         program = self.golden.program
@@ -244,64 +228,43 @@ class DistCoordinator:
         return asyncio.run(self._main())
 
     async def _main(self):
-        golden = self.golden
-        domain = self.domain
-        partition = domain.build_partition(golden)
+        golden, domain = self.golden, self.domain
         # The journal connection must be created in the serving thread
         # (sqlite3 objects are thread-affine) — hence here, not __init__.
         owned = None
         journal = self.journal
         if journal is None:
             journal = owned = ExperimentJournal(":memory:")
-        handle = open_campaign(journal, golden, domain, "full-scan",
-                               self._journal_params())
+        # The shared lifecycle's prologue opens (and, without resume,
+        # clears) the journal, validates resumed classes — a salvaged
+        # journal can hold partial ones — and composes store-known
+        # classes, which are then never leased to any worker.  The same
+        # campaign key as the inline and pool backends lets one journal
+        # resume under any of them.
+        campaign = Campaign(
+            FullScan(golden, domain, domain.build_partition(golden),
+                     self.keep_records),
+            campaign_params(golden, self.config), journal=journal,
+            resume=self.resume)
         try:
-            if not self.resume:
-                handle.clear()
-            return await self._serve(handle, partition)
+            campaign.open()
+            return await self._serve(campaign)
         finally:
             # Close whichever journal this coordinator opened itself —
             # the in-memory fallback or a path-opened file (closing
             # checkpoints the WAL into the main file, so the journal on
             # disk is whole, copyable and salvage-friendly afterwards).
-            handle.close()
+            campaign.close()
             if owned is not None:
                 owned.close()
 
-    async def _serve(self, handle: CampaignJournal, partition):
-        golden, domain = self.golden, self.domain
-        completed = handle.completed_classes()
-        live = partition.live_classes()  # sorted by injection slot
-        self.report = ExecutionReport(total_units=len(live))
-        self._by_key = {domain.class_key(interval): interval
-                        for interval in live}
-        # Never trust resumed classes blindly: a salvaged journal can
-        # hold partial classes (page loss truncates committed rows), so
-        # validate every resumed class against the domain's expected
-        # experiment count and re-execute the bad ones.
-        pruned = invalid_classes(
-            completed,
-            {key: self._expected_count(key) for key in completed
-             if key in self._by_key})
-        pruned.extend(key for key in completed if key not in self._by_key)
-        if pruned:
-            handle.discard_classes(pruned)
-            for key in pruned:
-                completed.pop(key, None)
-            self.report.discarded_results += len(pruned)
-            handle.record_event(
-                "salvage-prune", at=time.time(),
-                detail=f"{len(pruned)} resumed classes failed "
-                       f"validation and were discarded")
-        # Compose store-known classes before planning leases: composed
-        # classes join ``completed`` and are never leased to any worker.
-        self._composer = build_composer(handle, golden, domain,
-                                        self._journal_params())
-        compose_into_completed(self._composer, live, completed, handle,
-                               self.report)
-        key_costs = {domain.class_key(interval):
-                     class_cost(interval, golden.cycles, bits=domain.bits)
-                     for interval in live}
+    async def _serve(self, campaign: Campaign):
+        self.campaign = campaign
+        self.handle = campaign.handle
+        self.report = campaign.report
+        style = campaign.style
+        completed = campaign.rows
+        key_costs = {key: style.cost(key) for key in style.items}
         # Plan over the FULL live list: indices and key lists are then a
         # pure function of the campaign, stable across restarts, and the
         # journaled per-shard retry state stays meaningful.  Small
@@ -310,12 +273,11 @@ class DistCoordinator:
         # so restarts with the same worker count re-derive it).
         parts = tune_shard_count(sum(key_costs.values()), self.shards,
                                  self.expected_workers)
-        planned, _ = plan_class_shards(live, golden.cycles,
-                                       bits=domain.bits, parts=parts)
+        planned = shard_by_cost(list(key_costs), list(key_costs.values()),
+                                parts)
         board = LeaseBoard(policy=self.policy, key_costs=key_costs)
-        journaled_leases = handle.lease_states()
-        for index, shard in enumerate(planned):
-            keys = [domain.class_key(interval) for interval in shard]
+        journaled_leases = self.handle.lease_states()
+        for index, keys in enumerate(planned):
             board.add_shard(index, keys,
                             [key for key in keys if key not in completed])
             stored = journaled_leases.get(index)
@@ -326,12 +288,10 @@ class DistCoordinator:
                 board.restore(index, attempts=stored["attempts"],
                               status=stored["status"])
         self.board = board
-        self.handle = handle
         #: Classes trusted before any worker connected (resumed or
         #: composed) — assembly must not re-store these.
         self._initial_completed = frozenset(completed)
-        self.report.resumed = len(completed)
-        self._done_total = len(live)
+        self._done_total = len(style.items)
         self._done_count = self.report.resumed
         self._done = asyncio.Event()
         self._journal_leases()
@@ -375,7 +335,7 @@ class DistCoordinator:
                 await asyncio.wait(self._conn_tasks, timeout=2.0)
         if self.stopped:
             return None
-        return self._assemble(partition, live)
+        return self._assemble()
 
     async def _watchdog(self):
         while True:
@@ -793,18 +753,10 @@ class DistCoordinator:
         rng = random.Random(f"crosscheck/{key[0]}/{key[1]}")
         return rng.random() < self.crosscheck
 
-    def _expected_count(self, key: tuple) -> int:
-        count = self._expected_rows.get(key)
-        if count is None:
-            interval = self._by_key.get(key)
-            count = -1 if interval is None \
-                else len(interval.experiments())
-            self._expected_rows[key] = count
-        return count
-
     def _valid_shape(self, key: tuple, rows: list) -> bool:
         """Rows must match the domain's expected experiment weights."""
-        if len(rows) != self._expected_count(key):
+        style = self.campaign.style
+        if key not in style.items or len(rows) != style.size(key):
             return False
         for index, row in enumerate(rows):
             if row[0] != index or row[1] not in _OUTCOME_VALUES:
@@ -832,36 +784,18 @@ class DistCoordinator:
             return  # the watchdog's patience timer resolves these
         self._done.set()
 
-    def _assemble(self, partition, live):
+    def _assemble(self):
         """Merge the journal into a serial-identical CampaignResult."""
-        from ..runner import CampaignResult
-
-        domain = self.domain
-        merged = self.handle.completed_classes()
-        class_outcomes = {}
-        records: list[ExperimentRecord] = []
-        missing = []
-        for interval in live:
-            key = domain.class_key(interval)
-            if key not in merged:
-                missing.append(key)
-                continue
-            rows = merged[key]
-            class_outcomes[key] = tuple(outcome for _, outcome, _, _ in rows)
-            if self._composer is not None \
-                    and key not in self._initial_completed:
-                # Deferred section-store write: only classes that
-                # survived CRC checks, cross-check verification and
-                # byzantine rollback reach the cross-campaign store.
-                self._composer.store_class(interval, rows)
-            if self.keep_records:
-                coords = interval.experiments()
-                records.extend(
-                    ExperimentRecord(coordinate=coords[bit], outcome=outcome,
-                                     end_cycle=end_cycle, trap=trap)
-                    for bit, outcome, end_cycle, trap in rows)
+        campaign, style = self.campaign, self.campaign.style
+        campaign.rows, _ = style.load(self.handle)
+        if campaign.composer is not None:
+            # Deferred section-store write: only classes that survived
+            # CRC checks, cross-check verification and byzantine
+            # rollback reach the cross-campaign store.
+            for key, rows in campaign.rows.items():
+                if key not in self._initial_completed:
+                    style.store(campaign.composer, key, rows)
         report = self.report
-        report.missing = tuple(missing)
         report.shard_retries = self.board.retries
         report.failed_shards = self.board.failed_shards
         report.workers = tuple(sorted(self._worker_units.items()))
@@ -870,14 +804,11 @@ class DistCoordinator:
         report.quarantined_workers = tuple(
             state["name"] for state in self.supervisor.snapshot()
             if state["offenses"])
-        if report.complete:
-            self.handle.mark_complete()
-        else:
+        result = campaign.finish()
+        if not report.complete:
             # Failed shards are final state worth keeping queryable.
             self._journal_leases()
-        return CampaignResult(golden=self.golden, partition=partition,
-                              class_outcomes=class_outcomes, records=records,
-                              domain=domain, execution=report)
+        return result
 
 
 # -- one-shot convenience -------------------------------------------------------
@@ -907,11 +838,10 @@ def run_distributed_scan(golden: GoldenRun, *, workers: int = 2,
     coordinator in the calling thread.  Real multi-host campaigns start
     ``repro coordinator`` and ``repro worker`` by hand instead.
 
-    ``chaos`` (a :class:`~.chaos.ChaosPlan`, plan dict or legacy
-    counter dict) is serialized into every worker's environment, so the
-    whole fleet runs one seeded schedule; its coordinator-side fields
-    apply here.  ``crosscheck`` and ``supervision`` pass through to
-    :class:`DistCoordinator`.
+    ``chaos`` (a :class:`~.chaos.ChaosPlan` or plan dict) is serialized
+    into every worker's environment, so the whole fleet runs one seeded
+    schedule; its coordinator-side fields apply here.  ``crosscheck``
+    and ``supervision`` pass through to :class:`DistCoordinator`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

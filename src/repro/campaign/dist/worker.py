@@ -27,9 +27,8 @@ transport, so the coordinator can detect any corruption between this
 worker's executor and its own journal.
 
 Chaos injection is delegated to :mod:`repro.campaign.dist.chaos`: a
-:class:`~.chaos.ChaosPlan` (the ``chaos=`` argument, the
-``REPRO_CHAOS_PLAN`` env var, or the deprecated ``REPRO_DIST_CHAOS``
-counter dict) wraps each session's stream in a
+:class:`~.chaos.ChaosPlan` (the ``chaos=`` argument or the
+``REPRO_CHAOS_PLAN`` env var) wraps each session's stream in a
 :class:`~.chaos.ChaosFrameStream` proxy.  Chaos state is cumulative
 across reconnects — the schedule is a pure function of
 ``(seed, worker name, result index)``, unaffected by the failures it
@@ -49,6 +48,7 @@ from ...isa.assembler import assemble
 from ..database import program_fingerprint
 from ..experiment import ExecutorConfig
 from ..golden import record_golden
+from ..parallel import run_group
 from .chaos import WorkerChaos, plan_from_env, plan_from_spec
 from .protocol import (PROTOCOL_VERSION, FrameStream, ProtocolError,
                        result_digest)
@@ -291,22 +291,17 @@ class DistWorker:
                 return True
             if self._chaos is not None:
                 self._chaos.before_class(key)
-            hits0 = executor.convergence_hits
-            skips0 = executor.slice_hits
-            tails0 = executor.scalar_tail_experiments
-            records = executor.run_many(interval.experiments())
+            [(_, results)], (hits, skips, tails) = run_group(
+                executor, [(key, interval.experiments())])
             self.executed += 1
-            rows = [[bit, record.outcome.value, record.end_cycle,
-                     record.trap]
-                    for bit, record in enumerate(records)]
+            rows = [[bit, outcome.value, end_cycle, trap]
+                    for bit, (outcome, end_cycle, trap)
+                    in enumerate(zip(*results))]
             message = {
                 "type": "result", "lease": lease_id, "shard": shard,
-                "key": list(key),
-                "rows": rows,
+                "key": list(key), "rows": rows,
                 "crc": result_digest(key, rows),
-                "hits": executor.convergence_hits - hits0,
-                "skips": executor.slice_hits - skips0,
-                "tails": executor.scalar_tail_experiments - tails0,
+                "hits": hits, "skips": skips, "tails": tails,
             }
             self._send(stream, message)
         self._send(stream, {"type": "lease_done", "lease": lease_id,

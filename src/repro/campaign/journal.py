@@ -597,7 +597,7 @@ class ExperimentJournal:
             report["file_bytes"] = 0
         return report
 
-    # -- campaign summaries (successor of the JSON CampaignCache) -------------
+    # -- campaign summaries (JournalCache) -------------------------------------
 
     def store_summary(self, fingerprint: str, domain: str, name: str,
                       summary: str) -> None:
@@ -693,14 +693,7 @@ class CampaignJournal:
         the crash-tolerance unit: a class is journaled entirely or not
         at all, so resumes never see half a class.
         """
-        with self._conn:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO class_results (campaign_id, "
-                "axis, first_slot, bit, outcome, end_cycle, trap) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(self.campaign_id, axis, first_slot, bit, outcome,
-                  end_cycle, trap)
-                 for bit, outcome, end_cycle, trap in rows])
+        self.record_classes([(axis, first_slot, rows)])
 
     def record_classes(
             self,
@@ -880,6 +873,14 @@ class CampaignJournal:
                 "slot, axis, bit, outcome) VALUES (?, ?, ?, ?, ?)",
                 [(self.campaign_id, slot, axis, bit, outcome)
                  for axis, bit, outcome in rows])
+
+    def discard_slots(self, slots: Iterable[int]) -> None:
+        """Delete journaled slots (salvage-truncated) for re-execution."""
+        with self._conn:
+            self._conn.executemany(
+                "DELETE FROM coordinate_results WHERE campaign_id = ? "
+                "AND slot = ?",
+                [(self.campaign_id, slot) for slot in slots])
 
     def completed_slots(self) -> dict[int, list[tuple[int, int, Outcome]]]:
         """Journaled slots: slot → ``(axis, bit, outcome)`` in scan order."""

@@ -1,4 +1,4 @@
-"""Campaign runners: full fault-space scans and sampling campaigns.
+"""Campaign runners: one lifecycle for every campaign style and backend.
 
 Three campaign styles are provided, each generic over a
 :class:`~repro.faultspace.domain.FaultDomain` (memory by default,
@@ -14,24 +14,46 @@ Three campaign styles are provided, each generic over a
   (raw-uniform, live-only, or the deliberately biased class sampler for
   Pitfall 2 demonstrations).
 
-All three accept ``jobs=`` for multiprocess sharding and produce results
-bit-for-bit identical to their serial runs; see
-:mod:`repro.campaign.parallel`.
+Every campaign runs one lifecycle, :class:`Campaign`: open the journal
+(clearing it when ``resume=False``); load and validate the journaled
+units; compose further units from the cross-campaign section store;
+execute the rest on a backend; journal and store each result as it
+arrives; assemble the result in canonical order; mark the campaign
+complete only if no unit is missing, then close.  A *style* only
+enumerates keyed work units (row count, cost, coordinates) and
+assembles its result type; a *backend* only executes units and returns
+keyed rows.  Results are bit-for-bit identical on every backend:
 
-All three also accept ``journal=`` (an
-:class:`~repro.campaign.journal.ExperimentJournal` or a path): completed
-work units are then appended durably as the campaign runs, and a rerun
-of the same campaign against the same journal *resumes*, skipping every
-journaled unit.  The contract is strict — a resumed campaign returns a
-result bit-for-bit identical to an uninterrupted one, including
-iteration order, record lists and sample sequences.  ``resume=False``
-clears the journaled campaign first.  ``result.execution`` reports how
-the campaign actually ran (units executed vs. resumed, shard retries,
-wall-clock timeouts, completeness).
+===========  ========================================  ======  ====  ======
+style        work unit (journal key)                   inline  pool  fabric
+===========  ========================================  ======  ====  ======
+full scan    live class ``(axis, first_slot)``         yes     yes   yes
+brute force  injection slot                            yes     yes   no
+sampling     experiment ``(axis, first_slot, bit)``    yes     yes   no
+===========  ========================================  ======  ====  ======
+
+*inline* (``jobs=None`` or ``1``) runs same-slot stretches of units
+through one executor — the caller's ``executor=`` or one built from
+``config`` — journaling and reporting progress per unit.  The process
+*pool* (``jobs=0`` for one worker per CPU, or more than one; see
+:mod:`repro.campaign.parallel`) adds deadlines, retries and
+heartbeats.  The lease *fabric* (:func:`~repro.campaign.dist
+.run_distributed_scan`) shares the lifecycle's prologue and assembly.
+
+``journal=`` (an :class:`~repro.campaign.journal.ExperimentJournal` or
+a path) appends completed units durably, and a rerun against the same
+journal *resumes*, returning a result bit-for-bit identical to an
+uninterrupted one.  Resumed units are validated first: a class must
+hold exactly bits ``0 … n−1`` of its domain experiment count, a
+brute-force slot one row per raw coordinate.  A unit a salvaged
+journal truncated fails the rule and is discarded, counted in
+``execution.discarded_results``, logged as a ``salvage-prune`` event
+and re-executed.  ``result.execution`` reports how the campaign ran.
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -44,43 +66,41 @@ from ..faultspace.sampling import (
     Sample,
     UniformSampler,
 )
-from .compose import build_composer, compose_into_completed
+from .compose import build_composer
 from .experiment import ExecutorConfig, ExperimentExecutor, ExperimentRecord
 from .golden import GoldenRun
-from .journal import ExecutionReport, open_campaign
+from .journal import ExecutionReport, invalid_classes, open_campaign
 from .outcomes import Outcome
+from .parallel import (
+    COUNTERS,
+    RetryPolicy,
+    class_cost,
+    execute_units,
+    resolve_jobs,
+    run_pool,
+    shard_by_cost,
+)
 
 ProgressCallback = Callable[[int, int], None]
 
 
-def _executor_params(executor: ExperimentExecutor) -> dict:
-    """The executor settings that affect outcomes — part of the journal
-    key, so a changed timeout policy opens a fresh campaign instead of
-    mixing incompatible classifications.  ``use_convergence`` is
-    deliberately absent: it cannot change any outcome, so a campaign
-    journaled with it on resumes cleanly with it off and vice versa."""
-    return {"timeout_cycles": executor.timeout_cycles,
-            "early_stop": executor.early_stop}
+def campaign_params(golden: GoldenRun, config: ExecutorConfig,
+                    executor: ExperimentExecutor | None = None) -> dict:
+    """The executor settings in the journal campaign key.
 
-
-def _build_executor(golden: GoldenRun,
-                    executor: ExperimentExecutor | None,
-                    config: ExecutorConfig | None,
-                    domain: FaultDomain,
-                    partition=None) -> ExperimentExecutor:
-    """Resolve the serial path's executor from the caller's arguments.
-
-    ``partition`` forwards an already-built def/use partition to the
-    ``auto`` engine's tier planner so resolving it is free on paths
-    that have one (the planner otherwise builds and caches its own)."""
+    Only settings that can change an outcome belong here, so a changed
+    timeout policy opens a fresh campaign instead of mixing incompatible
+    classifications.  The convergence early-exit, the engine and the
+    transport tuning cannot change any outcome and are deliberately
+    absent: a campaign journaled under one of them — or under any
+    backend — resumes cleanly under another.  A caller's ``executor``
+    is keyed by its own settings.
+    """
     if executor is not None:
-        if config is not None:
-            raise ValueError(
-                "pass either executor= or config=, not both; the config "
-                "exists to build an executor when none is given")
-        return executor
-    return replace(config or ExecutorConfig(),
-                   domain=domain.name).build(golden, partition=partition)
+        return {"timeout_cycles": executor.timeout_cycles,
+                "early_stop": executor.early_stop}
+    return {"timeout_cycles": config.timeout_cycles(golden.cycles),
+            "early_stop": config.early_stop}
 
 
 @dataclass
@@ -208,151 +228,6 @@ class CampaignResult:
         return out
 
 
-def _parallel_campaign(golden: GoldenRun, jobs: int,
-                       executor: ExperimentExecutor | None,
-                       domain: FaultDomain, policy,
-                       config: ExecutorConfig | None = None):
-    """Build the parallel driver for a runner-level ``jobs`` request."""
-    from .parallel import ParallelCampaign
-
-    if executor is not None:
-        raise ValueError(
-            "an explicit executor cannot be shared across worker "
-            "processes; drop the executor argument or run with jobs=None")
-    return ParallelCampaign(golden, jobs, executor_config=config,
-                            domain=domain, policy=policy)
-
-
-def run_full_scan(golden: GoldenRun, *,
-                  partition=None,
-                  executor: ExperimentExecutor | None = None,
-                  config: ExecutorConfig | None = None,
-                  keep_records: bool = False,
-                  progress: ProgressCallback | None = None,
-                  jobs: int | None = None,
-                  domain: FaultDomain | str = MEMORY,
-                  journal=None,
-                  resume: bool = True,
-                  policy=None) -> CampaignResult:
-    """Def/use-pruned full fault-space scan (exact, no sampling error).
-
-    ``jobs`` selects the execution engine: ``None`` (default) runs
-    serially in-process, ``0`` uses one worker process per CPU, any
-    positive count that many workers.  ``domain`` selects the fault
-    model (``"memory"`` or ``"register"``).  Results are identical for
-    every engine choice.
-
-    ``config`` is an :class:`~.experiment.ExecutorConfig` applied on
-    both the serial and the parallel path (e.g. to disable the
-    convergence early-exit); ``executor`` injects a prebuilt executor
-    on the serial path only and excludes ``config``.
-
-    ``journal`` enables durable per-class result journaling and resume
-    (see the module docstring); ``policy`` is a
-    :class:`~repro.campaign.parallel.RetryPolicy` for the parallel
-    engine's timeout/retry behaviour (ignored when serial).
-    """
-    domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_full_scan(
-            partition=partition, keep_records=keep_records,
-            progress=progress, journal=journal, resume=resume)
-    if partition is None:
-        partition = domain.build_partition(golden)
-    executor = _build_executor(golden, executor, config, domain,
-                               partition=partition)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-    handle = open_campaign(journal, golden, domain, "full-scan",
-                           _executor_params(executor))
-    completed = {}
-    if handle is not None:
-        if not resume:
-            handle.clear()
-        completed = handle.completed_classes()
-    live = partition.live_classes()  # sorted by injection slot
-    report = ExecutionReport(total_units=len(live))
-    # Compose classes another campaign already executed for an identical
-    # program section: injecting them into ``completed`` up front routes
-    # them through the exact resume machinery below.
-    composer = build_composer(handle, golden, domain,
-                              _executor_params(executor))
-    compose_into_completed(composer, live, completed, handle, report)
-    class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
-    records: list[ExperimentRecord] = []
-    done = 0
-    index = 0
-    while index < len(live):
-        interval = live[index]
-        key = domain.class_key(interval)
-        if key in completed:
-            rows = completed[key]
-            class_outcomes[key] = tuple(outcome for _, outcome, _, _
-                                        in rows)
-            if keep_records:
-                coords = interval.experiments()
-                records.extend(
-                    ExperimentRecord(coordinate=coords[bit],
-                                     outcome=outcome, end_cycle=end_cycle,
-                                     trap=trap)
-                    for bit, outcome, end_cycle, trap in rows)
-            report.resumed += 1
-            index += 1
-            done += 1
-            if progress is not None:
-                progress(done, len(live))
-            continue
-        # Gather the run of fresh classes sharing this injection slot
-        # and submit their experiments together: live classes are
-        # slot-sorted, and a batch executor turns one same-slot group
-        # into lockstep lanes (a scalar executor just iterates).
-        group = [interval]
-        while index + len(group) < len(live):
-            nxt = live[index + len(group)]
-            if (nxt.injection_slot != interval.injection_slot
-                    or domain.class_key(nxt) in completed):
-                break
-            group.append(nxt)
-        results = executor.run_many(
-            [coord for member in group for coord in member.experiments()])
-        consumed = 0
-        for member in group:
-            member_key = domain.class_key(member)
-            width = len(member.experiments())
-            member_records = results[consumed:consumed + width]
-            consumed += width
-            class_outcomes[member_key] = tuple(
-                record.outcome for record in member_records)
-            if keep_records:
-                records.extend(member_records)
-            if handle is not None:
-                handle.record_class(
-                    member_key[0], member_key[1],
-                    [(bit, record.outcome.value, record.end_cycle,
-                      record.trap)
-                     for bit, record in enumerate(member_records)])
-                composer.store_class(member, [
-                    (bit, record.outcome, record.end_cycle, record.trap)
-                    for bit, record in enumerate(member_records)])
-            report.executed += 1
-            done += 1
-            if progress is not None:
-                progress(done, len(live))
-        index += len(group)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
-    return CampaignResult(golden=golden, partition=partition,
-                          class_outcomes=class_outcomes, records=records,
-                          domain=domain, execution=report)
-
-
 @dataclass
 class BruteForceResult:
     """Ground-truth scan: one real experiment per raw coordinate."""
@@ -369,71 +244,6 @@ class BruteForceResult:
     @property
     def fault_space_size(self) -> int:
         return self.domain.fault_space(self.golden).size
-
-
-def run_brute_force(golden: GoldenRun, *,
-                    executor: ExperimentExecutor | None = None,
-                    config: ExecutorConfig | None = None,
-                    progress: ProgressCallback | None = None,
-                    jobs: int | None = None,
-                    domain: FaultDomain | str = MEMORY,
-                    journal=None,
-                    resume: bool = True,
-                    policy=None) -> BruteForceResult:
-    """Run one experiment for *every* fault-space coordinate.
-
-    Only feasible for tiny programs; used by tests and examples to prove
-    that def/use pruning plus weighting reproduces these numbers exactly.
-    ``jobs``, ``domain``, ``config``, ``journal`` and ``resume`` behave
-    as in :func:`run_full_scan`; ``progress`` is called per completed
-    injection slot.  The journal's atomic unit is one injection slot.
-    """
-    domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_brute_force(
-            progress=progress, journal=journal, resume=resume)
-    executor = _build_executor(golden, executor, config, domain)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-    handle = open_campaign(journal, golden, domain, "brute-force",
-                           _executor_params(executor))
-    completed = {}
-    if handle is not None:
-        if not resume:
-            handle.clear()
-        completed = handle.completed_slots()
-    space = domain.fault_space(golden)
-    report = ExecutionReport(total_units=golden.cycles)
-    outcomes: dict = {}
-    # Iterate slot-major so the executor's fast-forward engages.
-    for slot in range(1, golden.cycles + 1):
-        if slot in completed:
-            for axis, bit, outcome in completed[slot]:
-                outcomes[domain.coordinate(slot, axis, bit)] = outcome
-            report.resumed += 1
-        else:
-            coords = list(domain.slot_coordinates(space, slot))
-            rows = []
-            for coord, record in zip(coords, executor.run_many(coords)):
-                outcomes[coord] = record.outcome
-                rows.append((domain.coordinate_axis(coord), coord.bit,
-                             record.outcome.value))
-            if handle is not None:
-                handle.record_slot(slot, rows)
-            report.executed += 1
-        if progress is not None:
-            progress(slot, golden.cycles)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
-    return BruteForceResult(golden=golden, outcomes=outcomes,
-                            domain=domain, execution=report)
 
 
 @dataclass
@@ -476,36 +286,494 @@ class SamplingResult:
 SAMPLERS = ("uniform", "live-only", "biased-class")
 
 
-def _draw_classified(golden: GoldenRun, n_samples: int, seed: int,
-                     sampler: str, partition,
-                     domain: FaultDomain) -> tuple[list[Sample], int, str]:
-    """Draw and classify samples; shared by the serial and parallel paths.
+# -- styles: keyed work units -------------------------------------------------
+#
+# Worker-side expansions of one work item into its fault coordinates.
+# Module-level functions, so the process pool can pickle them.
 
-    Returns the drawn samples (original order), the population size the
-    estimate must extrapolate against, and the sampler's post-draw RNG
-    position (JSON) — the experiment journal stores the position so a
-    resume can verify it re-drew exactly the journaled sequence.
+
+def _class_experiments(executor, interval):
+    return interval.experiments()
+
+
+def _slot_experiments(executor, slot):
+    domain = executor.domain
+    return list(domain.slot_coordinates(
+        domain.fault_space(executor.golden), slot))
+
+
+def _one_experiment(executor, coordinate):
+    return [coordinate]
+
+
+def _columns(rows) -> tuple:
+    """Journal ``(bit, outcome, end_cycle, trap)`` rows as results."""
+    return tuple(zip(*rows))[1:]
+
+
+class _Style:
+    """What a campaign style contributes to the lifecycle.
+
+    ``items`` maps every unit key, in canonical (ascending-slot) order,
+    to the picklable work item ``expand(executor, item)`` turns into
+    fault coordinates.  A unit's *results* are three parallel tuples —
+    outcomes, end cycles and traps, one entry per coordinate; its
+    *rows* are what the result assembles from.  ``load`` returns the
+    journaled units plus the keys failing validation.
     """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    if sampler == "uniform":
-        instance = UniformSampler(domain.fault_space(golden), seed=seed,
-                                  domain=domain)
-        drawn = instance.draw_classified(n_samples, partition)
-        population = domain.fault_space(golden).size
-    elif sampler == "live-only":
-        instance = LiveOnlySampler(partition, seed=seed, domain=domain)
-        drawn = instance.draw_classified(n_samples)
-        population = instance.population
-    elif sampler == "biased-class":
-        instance = BiasedClassSampler(partition, seed=seed, domain=domain)
-        drawn = instance.draw_classified(n_samples)
-        # The biased sampler has no meaningful population; report w so the
-        # demonstration can show how wrong its extrapolation is.
-        population = domain.fault_space(golden).size
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}; pick from {SAMPLERS}")
-    return drawn, population, instance.rng_state()
+
+    #: Journal campaign kind.
+    kind = ""
+    #: Whether the style composes from and feeds the section store.
+    composes = True
+    #: Journal campaign key entries beyond the executor settings.
+    params: dict = {}
+
+    def __init__(self, golden: GoldenRun, domain: FaultDomain,
+                 items: dict):
+        self.golden = golden
+        self.domain = domain
+        self.items = items
+
+    def slot(self, key) -> int:
+        return self.items[key].slot
+
+    def rows(self, key, results):
+        return results
+
+    def cost(self, key) -> int:
+        """Estimated post-injection cycles (shard balance and deadline)."""
+        return max(1, self.golden.cycles - self.slot(key) + 1)
+
+
+class FullScan(_Style):
+    """One unit per live class; its rows are its results."""
+
+    kind = "full-scan"
+    expand = staticmethod(_class_experiments)
+
+    def __init__(self, golden, domain, partition, keep_records=False):
+        self.partition = partition
+        self.keep_records = keep_records
+        super().__init__(golden, domain, {
+            domain.class_key(interval): interval
+            for interval in partition.live_classes()})
+
+    def size(self, key) -> int:
+        return self.domain.experiment_count(self.items[key])
+
+    def slot(self, key) -> int:
+        return self.items[key].injection_slot
+
+    def cost(self, key) -> int:
+        return class_cost(self.items[key], self.golden.cycles,
+                          bits=self.domain.bits)
+
+    def load(self, handle):
+        journaled = handle.completed_classes()
+        # Classes the partition does not know cannot be trusted either.
+        bad = invalid_classes(journaled, {
+            key: self.size(key) for key in journaled if key in self.items
+        }) + [key for key in journaled if key not in self.items]
+        return {key: _columns(rows) for key, rows in journaled.items()
+                if key not in bad}, bad
+
+    def discard(self, handle, keys) -> None:
+        handle.discard_classes(keys)
+
+    def compose(self, composer, key):
+        # Only whole classes compose: a partial one re-executes whole,
+        # preserving the class-atomic crash-tolerance unit.
+        rows = composer.compose(self.slot(key), key[0],
+                                range(self.size(key)))
+        return None if rows is None else _columns(rows)
+
+    def record(self, handle, units: dict) -> None:
+        handle.record_classes([
+            (key[0], key[1], [(bit, outcome.value, end_cycle, trap)
+                              for bit, (outcome, end_cycle, trap)
+                              in enumerate(zip(*rows))])
+            for key, rows in units.items()])
+
+    def store(self, composer, key, results) -> None:
+        composer.store(self.slot(key), key[0], [
+            (bit, *row) for bit, row in enumerate(zip(*results))])
+
+    def assemble(self, rows, report) -> CampaignResult:
+        class_outcomes: dict[tuple[int, int], tuple[Outcome, ...]] = {}
+        records: list[ExperimentRecord] = []
+        for key, interval in self.items.items():
+            if key not in rows:
+                continue
+            outcomes, end_cycles, traps = rows[key]
+            class_outcomes[key] = outcomes
+            if self.keep_records:
+                records.extend(map(ExperimentRecord, interval.experiments(),
+                                   outcomes, end_cycles, traps))
+        return CampaignResult(golden=self.golden, partition=self.partition,
+                              class_outcomes=class_outcomes, records=records,
+                              domain=self.domain, execution=report)
+
+
+class BruteForce(_Style):
+    """One unit per injection slot; rows are ``(axis, bit, outcome)``."""
+
+    # Brute force validates the pruning against ground truth; composing
+    # it from pruned-campaign results would make that circular.
+    kind = "brute-force"
+    composes = False
+    expand = staticmethod(_slot_experiments)
+
+    def __init__(self, golden, domain):
+        self.space = domain.fault_space(golden)
+        super().__init__(golden, domain, {
+            slot: slot for slot in range(1, golden.cycles + 1)})
+
+    def _coordinates(self, slot) -> list:
+        return list(self.domain.slot_coordinates(self.space, slot))
+
+    def size(self, slot) -> int:
+        return len(self._coordinates(slot))
+
+    def slot(self, slot) -> int:
+        return slot
+
+    def load(self, handle):
+        journaled = handle.completed_slots()
+        return journaled, [slot for slot, rows in journaled.items()
+                           if slot in self.items
+                           and len(rows) != self.size(slot)]
+
+    def discard(self, handle, slots) -> None:
+        handle.discard_slots(slots)
+
+    def rows(self, slot, results) -> list:
+        return [(self.domain.coordinate_axis(coord), coord.bit, outcome)
+                for coord, outcome in zip(self._coordinates(slot),
+                                          results[0])]
+
+    def record(self, handle, units: dict) -> None:
+        for slot, rows in units.items():
+            handle.record_slot(slot, [(axis, bit, outcome.value)
+                                      for axis, bit, outcome in rows])
+
+    def assemble(self, rows, report) -> BruteForceResult:
+        outcomes: dict = {}
+        for slot in self.items:
+            for axis, bit, outcome in rows.get(slot, ()):
+                outcomes[self.domain.coordinate(slot, axis, bit)] = outcome
+        return BruteForceResult(golden=self.golden, outcomes=outcomes,
+                                domain=self.domain, execution=report)
+
+
+class Sampling(_Style):
+    """One unit per distinct (class, bit) experiment the draw needs.
+
+    Samples are drawn deterministically from the seed up front; samples
+    in the same live class and bit share one experiment, samples in dead
+    classes need none.  A unit's rows are its outcome; assembly replays
+    the outcomes over the drawn samples in their original order.
+    """
+
+    kind = "sampling"
+    expand = staticmethod(_one_experiment)
+
+    def __init__(self, golden, domain, partition, n_samples, seed,
+                 sampler):
+        if n_samples <= 0:
+            raise ValueError("n_samples must be positive")
+        self.partition = partition
+        self.sampler = sampler
+        self.params = {"seed": seed, "sampler": sampler,
+                       "n_samples": n_samples}
+        space = domain.fault_space(golden)
+        if sampler == "uniform":
+            instance = UniformSampler(space, seed=seed, domain=domain)
+            self.drawn = instance.draw_classified(n_samples, partition)
+        elif sampler == "live-only":
+            instance = LiveOnlySampler(partition, seed=seed, domain=domain)
+            self.drawn = instance.draw_classified(n_samples)
+        elif sampler == "biased-class":
+            instance = BiasedClassSampler(partition, seed=seed,
+                                          domain=domain)
+            self.drawn = instance.draw_classified(n_samples)
+        else:
+            raise ValueError(
+                f"unknown sampler {sampler!r}; pick from {SAMPLERS}")
+        #: What the estimate extrapolates against: w′ for live-only
+        #: sampling, else w — the biased sampler has no meaningful
+        #: population, so w shows how wrong its extrapolation is.
+        self.population = (instance.population if sampler == "live-only"
+                           else space.size)
+        #: Post-draw RNG position, journaled so a resume can verify it
+        #: re-drew exactly the journaled sample sequence.
+        self.rng_state = instance.rng_state()
+        #: Each drawn sample's unit key; ``None`` for dead-class samples.
+        self.sample_keys: list = []
+        items: dict = {}
+        for sample in self.drawn:
+            key = None
+            if sample.class_kind == LIVE:
+                interval = partition.locate(sample.coordinate)
+                key = domain.class_key(interval) + (
+                    domain.experiment_index(interval, sample.coordinate),)
+                if key not in items:
+                    items[key] = domain.experiment_coordinate(interval,
+                                                              key[2])
+            self.sample_keys.append(key)
+        super().__init__(golden, domain, dict(sorted(
+            items.items(), key=lambda kv: (
+                kv[1].slot, domain.coordinate_axis(kv[1]), kv[1].bit))))
+
+    def size(self, key) -> int:
+        return 1
+
+    def load(self, handle):
+        # The RNG position proves the re-drawn sequence is the journaled
+        # one before any journaled outcome is reused.  One outcome per
+        # unit leaves nothing to truncate.
+        handle.verify_sampler_state(len(self.drawn), self.rng_state)
+        return handle.completed_experiments(), []
+
+    def compose(self, composer, key):
+        rows = composer.compose(self.slot(key), key[0], [key[2]])
+        return None if rows is None else rows[0][1]
+
+    def rows(self, key, results) -> Outcome:
+        return results[0][0]
+
+    def record(self, handle, units: dict) -> None:
+        handle.record_experiments([
+            (key[0], key[1], key[2], outcome.value)
+            for key, outcome in units.items()])
+
+    def store(self, composer, key, results) -> None:
+        composer.store(self.slot(key), key[0],
+                       [(key[2], *(column[0] for column in results))])
+
+    def assemble(self, rows, report) -> SamplingResult:
+        # A degraded campaign omits the samples of missing experiments.
+        samples = [(sample, Outcome.NO_EFFECT if key is None else rows[key])
+                   for sample, key in zip(self.drawn, self.sample_keys)
+                   if key is None or key in rows]
+        return SamplingResult(
+            golden=self.golden, partition=self.partition, samples=samples,
+            population=self.population,
+            experiments_conducted=sum(key in rows for key in self.items),
+            sampler=self.sampler, domain=self.domain, execution=report)
+
+
+# -- the lifecycle ------------------------------------------------------------
+
+
+class Campaign:
+    """One campaign's lifecycle over a style, whatever the backend.
+
+    :meth:`open` opens, validates and composes, leaving :attr:`rows`
+    holding the trusted (resumed or composed) units and :attr:`todo`
+    the unit keys still to execute, in canonical order.  A backend
+    feeds each result to :meth:`accept` (or :meth:`time_out`) and its
+    counter deltas to :meth:`count`; :meth:`finish` assembles the
+    result and :meth:`close` releases the journal.
+    """
+
+    def __init__(self, style: _Style, params: dict, *, journal=None,
+                 resume: bool = True,
+                 progress: ProgressCallback | None = None):
+        self.style = style
+        self.params = params
+        self.journal = journal
+        self.resume = resume
+        self.progress = progress
+        self.report = ExecutionReport(total_units=len(style.items))
+        self.handle = None
+        self.composer = None
+        self.rows: dict = {}
+        self.todo: list = []
+
+    def open(self) -> None:
+        style, report = self.style, self.report
+        handle = self.handle = open_campaign(
+            self.journal, style.golden, style.domain, style.kind,
+            dict(self.params, **style.params))
+        completed: dict = {}
+        if handle is not None:
+            if not self.resume:
+                handle.clear()
+            completed, bad = style.load(handle)
+            if bad:
+                style.discard(handle, bad)
+                for key in bad:
+                    completed.pop(key, None)
+                report.discarded_results += len(bad)
+                handle.record_event(
+                    "salvage-prune", at=time.time(),
+                    detail=f"{len(bad)} resumed units failed validation "
+                           f"and were discarded")
+            if style.composes:
+                # Section fingerprints use the executor settings alone,
+                # so every style shares one store.  Composed units join
+                # the resumed ones, all in one journal transaction.
+                composer = self.composer = build_composer(
+                    handle, style.golden, style.domain, self.params)
+                composed = {}
+                for key in style.items:
+                    if key not in completed:
+                        rows = style.compose(composer, key)
+                        if rows is not None:
+                            composed[key] = rows
+                style.record(handle, composed)
+                report.composed_hits += sum(map(style.size, composed))
+                completed.update(composed)
+        self.rows = {key: completed[key] for key in style.items
+                     if key in completed}
+        self.todo = [key for key in style.items if key not in self.rows]
+        report.resumed = len(self.rows)
+
+    def accept(self, key, results, *, synthesized: bool = False) -> None:
+        """Journal and store one executed unit, then report progress."""
+        style = self.style
+        rows = self.rows[key] = style.rows(key, results)
+        if self.handle is not None:
+            style.record(self.handle, {key: rows})
+            if self.composer is not None and not synthesized:
+                # Wall-clock-synthesized timeouts are scheduling
+                # artifacts of this run; only simulator-produced
+                # results enter the cross-campaign store.
+                style.store(self.composer, key, results)
+        self.report.executed += 1
+        self.tick()
+
+    def time_out(self, key) -> None:
+        """Accept a unit whose shard hit its wall-clock deadline."""
+        size = self.style.size(key)
+        self.report.synthesized_timeouts += size
+        self.accept(key, ((Outcome.TIMEOUT,) * size,
+                          (self.params["timeout_cycles"],) * size,
+                          ("",) * size), synthesized=True)
+
+    def count(self, deltas) -> None:
+        for name, delta in zip(COUNTERS, deltas):
+            setattr(self.report, name, getattr(self.report, name) + delta)
+
+    def tick(self) -> None:
+        """Report progress (also re-invoked unchanged as a heartbeat)."""
+        if self.progress is not None:
+            self.progress(len(self.rows), self.report.total_units)
+
+    def finish(self):
+        self.report.missing = tuple(key for key in self.style.items
+                                    if key not in self.rows)
+        if self.handle is not None and self.report.complete:
+            self.handle.mark_complete()
+        return self.style.assemble(self.rows, self.report)
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
+def _run(style: _Style, *, executor, config, jobs, journal, resume,
+         progress, policy, partition=None):
+    """Run one campaign of ``style`` on the backend ``jobs`` selects."""
+    jobs = resolve_jobs(jobs)
+    if executor is not None:
+        if config is not None:
+            raise ValueError(
+                "pass either executor= or config=, not both; the config "
+                "exists to build an executor when none is given")
+        if jobs not in (None, 1):
+            raise ValueError(
+                "an explicit executor cannot be shared across worker "
+                "processes; drop the executor argument or run with "
+                "jobs=None")
+    # The config crosses the process boundary; pin its domain to the
+    # campaign's so every pool worker rebuilds the right injector.
+    config = replace(config or ExecutorConfig(), domain=style.domain.name)
+    campaign = Campaign(style, campaign_params(style.golden, config,
+                                               executor),
+                        journal=journal, resume=resume, progress=progress)
+    try:
+        campaign.open()
+        todo = campaign.todo
+        shards = shard_by_cost(todo, [style.cost(key) for key in todo],
+                               jobs or 1)
+        if len(shards) > 1:
+            run_pool(campaign, shards, config, policy or RetryPolicy())
+        elif todo:
+            # The inline backend: one executor, in this process.
+            if executor is None:
+                executor = config.build(style.golden, partition=partition)
+            for results, deltas in execute_units(
+                    executor, style.expand,
+                    [(key, style.items[key]) for key in todo]):
+                campaign.count(deltas)
+                for key, unit in results:
+                    campaign.accept(key, unit)
+        return campaign.finish()
+    finally:
+        campaign.close()
+
+
+def run_full_scan(golden: GoldenRun, *,
+                  partition=None,
+                  executor: ExperimentExecutor | None = None,
+                  config: ExecutorConfig | None = None,
+                  keep_records: bool = False,
+                  progress: ProgressCallback | None = None,
+                  jobs: int | None = None,
+                  domain: FaultDomain | str = MEMORY,
+                  journal=None,
+                  resume: bool = True,
+                  policy=None) -> CampaignResult:
+    """Def/use-pruned full fault-space scan (exact, no sampling error).
+
+    ``jobs`` selects the backend: ``None`` (default) or ``1`` runs
+    inline in this process, ``0`` uses one worker process per CPU, any
+    larger count that many workers.  ``domain`` selects the fault model
+    (``"memory"`` or ``"register"``).  Results are identical for every
+    backend.
+
+    ``config`` is an :class:`~.experiment.ExecutorConfig` applied on
+    every backend (e.g. to disable the convergence early-exit);
+    ``executor`` injects a prebuilt executor for the inline backend
+    only and excludes ``config``.  ``progress`` is called with ``(done,
+    total)`` live classes as each executed class is journaled.
+
+    ``journal`` enables durable per-class result journaling and resume
+    (see the module docstring); ``policy`` is a
+    :class:`~repro.campaign.parallel.RetryPolicy` for the process
+    pool's timeout/retry behaviour (ignored inline).
+    """
+    domain = get_domain(domain)
+    if partition is None:
+        partition = domain.build_partition(golden)
+    return _run(FullScan(golden, domain, partition, keep_records),
+                executor=executor, config=config, jobs=jobs,
+                journal=journal, resume=resume, progress=progress,
+                policy=policy, partition=partition)
+
+
+def run_brute_force(golden: GoldenRun, *,
+                    executor: ExperimentExecutor | None = None,
+                    config: ExecutorConfig | None = None,
+                    progress: ProgressCallback | None = None,
+                    jobs: int | None = None,
+                    domain: FaultDomain | str = MEMORY,
+                    journal=None,
+                    resume: bool = True,
+                    policy=None) -> BruteForceResult:
+    """Run one experiment for *every* fault-space coordinate.
+
+    Only feasible for tiny programs; used by tests and examples to prove
+    that def/use pruning plus weighting reproduces these numbers exactly.
+    ``jobs``, ``domain``, ``config``, ``journal`` and ``resume`` behave
+    as in :func:`run_full_scan`; ``progress`` counts injection slots.
+    The journal's atomic unit is one injection slot.
+    """
+    return _run(BruteForce(golden, get_domain(domain)), executor=executor,
+                config=config, jobs=jobs, journal=journal, resume=resume,
+                progress=progress, policy=policy)
 
 
 def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
@@ -522,111 +790,18 @@ def run_sampling(golden: GoldenRun, n_samples: int, *, seed: int = 0,
     """Run a sampled campaign with def/use-pruned experiment sharing.
 
     ``progress`` is called as each distinct (class, bit) experiment key
-    the drawn samples require is resolved — executed fresh or loaded
-    from the journal — with ``(done, total)`` over those keys.  ``jobs``,
-    ``domain``, ``config``, ``journal`` and ``resume`` behave as in
-    :func:`run_full_scan`.  The journal additionally records the
-    sampler's RNG position: resuming with a different seed, sampler or
-    sample count raises
+    the drawn samples require is resolved, with ``(done, total)`` over
+    those keys.  ``jobs``, ``domain``, ``config``, ``journal`` and
+    ``resume`` behave as in :func:`run_full_scan`.  The journal
+    additionally records the sampler's RNG position: resuming with a
+    different seed, sampler or sample count raises
     :class:`~repro.campaign.journal.JournalMismatchError`.
     """
     domain = get_domain(domain)
-    if jobs is not None:
-        return _parallel_campaign(golden, jobs, executor, domain,
-                                  policy, config).run_sampling(
-            n_samples, seed=seed, sampler=sampler, partition=partition,
-            progress=progress, journal=journal, resume=resume)
     if partition is None:
         partition = domain.build_partition(golden)
-    executor = _build_executor(golden, executor, config, domain,
-                               partition=partition)
-    hits_base = executor.convergence_hits
-    slice_base = executor.slice_hits
-    tail_base = executor.scalar_tail_experiments
-
-    handle = open_campaign(
-        journal, golden, domain, "sampling",
-        dict(_executor_params(executor), seed=seed, sampler=sampler,
-             n_samples=n_samples))
-    if handle is not None and not resume:
-        handle.clear()
-
-    drawn, population, rng_state = _draw_classified(
-        golden, n_samples, seed, sampler, partition, domain)
-    journaled: dict[tuple[int, int, int], Outcome] = {}
-    if handle is not None:
-        handle.verify_sampler_state(len(drawn), rng_state)
-        journaled = handle.completed_experiments()
-    # Section fingerprints use the executor parameters alone (no seed or
-    # sample count), so sampled and full-scan campaigns share the store.
-    composer = build_composer(handle, golden, domain,
-                              _executor_params(executor))
-
-    # One experiment per distinct (class, bit); dead classes need none.
-    total_experiments = 0
-    if progress is not None:
-        total_experiments = len({
-            domain.class_key(interval)
-            + (domain.experiment_index(interval, sample.coordinate),)
-            for sample, interval in (
-                (s, partition.locate(s.coordinate)) for s in drawn
-                if s.class_kind == LIVE)})
-    cache: dict[tuple[int, int, int], Outcome] = {}
-    report = ExecutionReport()
-    results: list[tuple[Sample, Outcome]] = []
-    # Execute in ascending slot order for snapshot reuse, then restore the
-    # original sample order (it is irrelevant for counting, but callers
-    # may inspect per-sample sequences).
-    order = sorted(range(len(drawn)),
-                   key=lambda i: drawn[i].coordinate.slot)
-    outcome_by_index: dict[int, Outcome] = {}
-    for i in order:
-        sample = drawn[i]
-        if sample.class_kind != LIVE:
-            outcome_by_index[i] = Outcome.NO_EFFECT
-            continue
-        interval = partition.locate(sample.coordinate)
-        key = (domain.class_key(interval)
-               + (domain.experiment_index(interval, sample.coordinate),))
-        if key not in cache:
-            if key in journaled:
-                cache[key] = journaled[key]
-                report.resumed += 1
-            else:
-                composed = (composer.compose_experiment(
-                    interval.injection_slot, key[0], key[2])
-                    if composer is not None else None)
-                if composed is not None:
-                    cache[key] = composed[0]
-                    handle.record_experiments(
-                        [(key[0], key[1], key[2], composed[0].value)])
-                    report.resumed += 1
-                    report.composed_hits += 1
-                else:
-                    representative = domain.experiment_coordinate(
-                        interval, key[2])
-                    record = executor.run(representative)
-                    cache[key] = record.outcome
-                    if handle is not None:
-                        handle.record_experiments(
-                            [(key[0], key[1], key[2], cache[key].value)])
-                        composer.store_experiment(
-                            interval.injection_slot, key[0], key[2],
-                            record.outcome, record.end_cycle, record.trap)
-                    report.executed += 1
-            if progress is not None:
-                progress(len(cache), total_experiments)
-        outcome_by_index[i] = cache[key]
-    report.total_units = len(cache)
-    report.convergence_hits = executor.convergence_hits - hits_base
-    report.slice_hits = executor.slice_hits - slice_base
-    report.scalar_tail_experiments = (executor.scalar_tail_experiments
-                                      - tail_base)
-    if handle is not None:
-        handle.mark_complete()
-        handle.close()
-    results = [(drawn[i], outcome_by_index[i]) for i in range(len(drawn))]
-    return SamplingResult(golden=golden, partition=partition,
-                          samples=results, population=population,
-                          experiments_conducted=len(cache), sampler=sampler,
-                          domain=domain, execution=report)
+    return _run(Sampling(golden, domain, partition, n_samples, seed,
+                         sampler),
+                executor=executor, config=config, jobs=jobs,
+                journal=journal, resume=resume, progress=progress,
+                policy=policy, partition=partition)

@@ -13,7 +13,6 @@ poisoned class key that kills every worker that touches it (hunted down
 by shard bisection).
 """
 
-import json
 import warnings
 
 import pytest
@@ -26,7 +25,6 @@ from repro.campaign.dist import (
     result_digest,
 )
 from repro.campaign.dist.chaos import (
-    LEGACY_ENV,
     PLAN_ENV,
     ChaosInterrupt,
     ChaosPlan,
@@ -114,8 +112,9 @@ class TestChaosPlanUnits:
         assert ChaosPlan(die_on_keys=((0, 1),)).active
         assert ChaosPlan(die_after_results=0).active
 
-    def test_legacy_counter_dict_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
+    def test_counter_dict_maps_to_plan_fields(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             plan = plan_from_spec({"die_after_results": 2,
                                    "duplicate_results": 3})
         assert plan.die_after_results == 2
@@ -130,19 +129,10 @@ class TestChaosPlanUnits:
         with pytest.raises(TypeError, match="dict or ChaosPlan"):
             plan_from_spec("drop everything")
 
-    def test_plan_env_beats_legacy_env(self):
-        plan = ChaosPlan(seed=3, drop_rate=0.5)
-        environ = {PLAN_ENV: plan.to_json(),
-                   LEGACY_ENV: json.dumps({"die_after_results": 1})}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no deprecation on new path
-            assert plan_from_env(environ) == plan
-
-    def test_legacy_env_warns_but_works(self):
-        environ = {LEGACY_ENV: json.dumps({"drop_after_results": 2})}
-        with pytest.warns(DeprecationWarning, match=LEGACY_ENV):
-            plan = plan_from_env(environ)
-        assert plan.drop_after_results == 2
+    def test_plan_env_round_trips(self):
+        plan = ChaosPlan(seed=3, drop_rate=0.5,
+                         kill_shards=((0, 1),), hang_shards=((2, 0),))
+        assert plan_from_env({PLAN_ENV: plan.to_json()}) == plan
         assert plan_from_env({}) is None
 
 

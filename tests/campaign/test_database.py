@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.campaign import (
-    CampaignCache,
     CampaignSummary,
+    ExperimentJournal,
+    JournalCache,
     Outcome,
     export_class_results_csv,
     import_class_results_csv,
@@ -72,9 +73,14 @@ class TestFingerprint:
             != program_fingerprint(hi.memory_diluted_variant(2))
 
 
+def campaign_cache(tmp_path) -> JournalCache:
+    """A summary cache over one journal file."""
+    return JournalCache(ExperimentJournal(tmp_path / "cache.sqlite"))
+
+
 class TestCampaignCache:
     def test_get_or_run_runs_once(self, tmp_path, hi_scan):
-        cache = CampaignCache(tmp_path)
+        cache = campaign_cache(tmp_path)
         calls = []
 
         def thunk():
@@ -87,21 +93,21 @@ class TestCampaignCache:
         assert len(calls) == 1
 
     def test_changed_program_invalidates_cache(self, tmp_path, hi_scan):
-        cache = CampaignCache(tmp_path)
+        cache = campaign_cache(tmp_path)
         cache.get_or_run(hi.baseline(), lambda: hi_scan)
         assert cache.load(hi.dft_variant(4)) is None
 
     def test_corrupt_cache_entry_is_ignored(self, tmp_path, hi_scan):
-        cache = CampaignCache(tmp_path)
+        cache = campaign_cache(tmp_path)
         cache.get_or_run(hi.baseline(), lambda: hi_scan)
-        path = cache._path(hi.baseline())
-        path.write_text("{not json")
+        cache.journal.store_summary(program_fingerprint(hi.baseline()),
+                                    "memory", "hi", "{not json")
         assert cache.load(hi.baseline()) is None
 
     def test_domains_cache_side_by_side(self, tmp_path, hi_scan,
                                         hi_register_scan):
         """One program, two domains: distinct entries, no collisions."""
-        cache = CampaignCache(tmp_path)
+        cache = campaign_cache(tmp_path)
         cache.get_or_run(hi.baseline(), lambda: hi_scan)
         cache.get_or_run(hi.baseline(), lambda: hi_register_scan,
                          domain="register")
@@ -110,15 +116,6 @@ class TestCampaignCache:
         assert memory.domain == "memory"
         assert register.domain == "register"
         assert memory.fault_space_size != register.fault_space_size
-
-    def test_memory_domain_keeps_legacy_filenames(self, tmp_path, hi_scan):
-        """Pre-domain cache files (no suffix) must still hit."""
-        cache = CampaignCache(tmp_path)
-        assert cache._path(hi.baseline()).name \
-            == cache._path(hi.baseline(), "memory").name
-        assert "-memory" not in cache._path(hi.baseline(), "memory").name
-        assert cache._path(hi.baseline(), "register").name \
-            .endswith("-register.json")
 
 
 class TestCsvExport:

@@ -38,6 +38,7 @@ from repro.campaign.dist import (
     decode_frame,
     encode_frame,
 )
+from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.campaign.dist.coordinator import serve_in_thread
 from repro.programs import hi, micro, sync2
 
@@ -268,7 +269,7 @@ class TestDistChaos:
         survivor absorbs the re-leased work."""
         result, _, spawned = run_dist(
             memory_golden,
-            worker_chaos=[{"drop_after_results": 2}, None],
+            worker_chaos=[ChaosPlan(drop_after_results=2), None],
             worker_kw={"max_reconnects": 0})
         # The chaos worker died for good...
         assert any(errors for _, _, errors in spawned)
@@ -283,7 +284,7 @@ class TestDistChaos:
         and keeps working; nothing is lost, nothing double-counted."""
         result, _, spawned = run_dist(
             memory_golden, workers=1,
-            worker_chaos=[{"drop_after_results": 3}])
+            worker_chaos=[ChaosPlan(drop_after_results=3)])
         assert not any(errors for _, _, errors in spawned)
         assert result == memory_baseline
         assert result.execution.executed == result.execution.total_units
@@ -292,7 +293,7 @@ class TestDistChaos:
             self, memory_golden, memory_baseline):
         result, _, _ = run_dist(
             memory_golden,
-            worker_chaos=[{"duplicate_results": 5}, None])
+            worker_chaos=[ChaosPlan(duplicate_results=5), None])
         assert result == memory_baseline
         assert result.execution.executed == result.execution.total_units
         assert sum(units for _, units in result.execution.workers) \
@@ -333,7 +334,7 @@ class TestDistChaos:
         missing classes instead of waiting forever."""
         result, _, _ = run_dist(
             memory_golden,
-            worker_chaos=[{"drop_after_results": 1}, None],
+            worker_chaos=[ChaosPlan(drop_after_results=1), None],
             worker_kw={"max_reconnects": 0},
             policy=RetryPolicy(heartbeat=0.3, poll_interval=0.02,
                                backoff=0.05, max_retries=0))
@@ -435,9 +436,9 @@ def _spawn_worker_proc(port: int, name: str, chaos=None):
     env["PYTHONPATH"] = os.pathsep.join(
         [src_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     if chaos:
-        env["REPRO_DIST_CHAOS"] = json.dumps(chaos)
+        env[PLAN_ENV] = chaos.to_json()
     else:
-        env.pop("REPRO_DIST_CHAOS", None)
+        env.pop(PLAN_ENV, None)
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker",
          "--connect", f"127.0.0.1:{port}", "--name", name],
@@ -464,7 +465,7 @@ class TestDistSubprocess:
                                       progress=progress)
         thread = serve_in_thread(coordinator)
         doomed = _spawn_worker_proc(port, "doomed",
-                                    chaos={"die_after_results": 2})
+                                    chaos=ChaosPlan(die_after_results=2))
         survivor = None
         try:
             # Let the doomed worker land its first result before the
@@ -544,7 +545,7 @@ class TestAcceptanceSync2:
         serial = run_full_scan(golden, domain=domain, keep_records=True)
         result, _, spawned = run_dist(
             golden, domain=domain,
-            worker_chaos=[{"drop_after_results": 2}, None],
+            worker_chaos=[ChaosPlan(drop_after_results=2), None],
             worker_kw={"max_reconnects": 0})
         assert any(errors for _, _, errors in spawned)  # a node died
         assert result == serial
@@ -569,7 +570,7 @@ class TestAcceptanceSync2:
                                 stop_after_results=3)
         thread = serve_in_thread(first)
         _, doomed_thread, doomed_errors = _start_worker(
-            port, "doomed", chaos={"drop_after_results": 2},
+            port, "doomed", chaos=ChaosPlan(drop_after_results=2),
             max_reconnects=0)
         _, steady_thread, steady_errors = _start_worker(port, "steady")
         assert thread.join_result(120) is None  # simulated crash

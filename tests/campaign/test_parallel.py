@@ -13,7 +13,6 @@ import pytest
 
 from repro.campaign import (
     ExecutorConfig,
-    ParallelCampaign,
     record_golden,
     resolve_jobs,
     run_brute_force,
@@ -25,6 +24,17 @@ from repro.faultspace.defuse import ByteInterval, LIVE
 from repro.programs import all_programs, bin_sem2, hi, micro
 
 JOB_COUNTS = (1, 2, 4)
+
+#: Execution-report counters every backend must agree on.  ``execution``
+#: is excluded from result equality, so drift here would go unseen.
+BOOKKEEPING = ("executed", "resumed", "composed_hits", "convergence_hits",
+               "slice_hits", "total_units")
+
+
+def assert_same_bookkeeping(parallel, serial):
+    for name in BOOKKEEPING:
+        assert getattr(parallel.execution, name) \
+            == getattr(serial.execution, name), name
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +71,6 @@ class TestJobsResolution:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(-1)
-
-    def test_campaign_rejects_serial_sentinel(self, memcopy_golden):
-        with pytest.raises(ValueError, match="serial"):
-            ParallelCampaign(memcopy_golden, None)
 
     def test_runner_rejects_executor_with_jobs(self, memcopy_golden):
         from repro.campaign import ExperimentExecutor
@@ -152,6 +158,7 @@ class TestFullScanEquivalence:
             == list(serial.class_outcomes.items())
         assert parallel.weighted_counts() == serial.weighted_counts()
         assert parallel.raw_counts() == serial.raw_counts()
+        assert_same_bookkeeping(parallel, serial)
 
     def test_records_identical_to_serial(self, memcopy_golden,
                                          memcopy_serial):
@@ -177,6 +184,7 @@ class TestBruteForceEquivalence:
             assert list(parallel.outcomes.items()) \
                 == list(serial.outcomes.items())
             assert parallel.counts() == serial.counts()
+            assert_same_bookkeeping(parallel, serial)
 
 
 class TestSamplingEquivalence:
@@ -192,6 +200,7 @@ class TestSamplingEquivalence:
             == serial.experiments_conducted
         assert parallel.population == serial.population
         assert parallel.counts() == serial.counts()
+        assert_same_bookkeeping(parallel, serial)
 
     def test_progress_counts_distinct_experiments(self, memcopy_golden):
         serial_seen, parallel_seen = [], []

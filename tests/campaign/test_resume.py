@@ -7,16 +7,14 @@ interrupt campaigns at every layer the real world does:
 
 * mid-campaign ``KeyboardInterrupt``-style aborts in the serial runner
   (simulated by a progress callback that raises),
-* worker processes killed outright (via the ``REPRO_CHAOS`` hook, which
-  makes a worker ``os._exit`` mid-shard like the OOM killer would),
+* worker processes killed outright (via a chaos plan's ``kill_shards``,
+  which makes a worker ``os._exit`` mid-shard like the OOM killer would),
 * wedged workers that never return (classified as wall-clock timeouts),
 
 and then assert the resumed result equals the uninterrupted baseline,
 for both fault domains and across serial and parallel (jobs ∈ {1, 2, 4})
 engines.
 """
-
-import json
 
 import pytest
 
@@ -30,6 +28,7 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
+from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 from repro.programs import hi, micro
 
 JOBS = [1, 2, 4]
@@ -210,7 +209,7 @@ class TestSamplingResume:
 
 
 class TestWorkerDeath:
-    """Simulated worker kills via the REPRO_CHAOS hook."""
+    """Simulated worker kills via the chaos plan's ``kill_shards``."""
 
     @pytest.mark.parametrize("domain", ["memory", "register"])
     def test_dead_worker_is_retried_to_an_identical_result(
@@ -219,8 +218,8 @@ class TestWorkerDeath:
         golden, baseline = _golden_and_baseline(
             domain, memory_golden, memory_baseline, register_golden,
             register_baseline)
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            kill_shards=((0, 0),), delay_seconds=0.2).to_json())
         result = run_full_scan(golden, domain=domain, jobs=2,
                                keep_records=True,
                                policy=RetryPolicy(backoff=0.05))
@@ -230,8 +229,8 @@ class TestWorkerDeath:
 
     def test_exhausted_retries_degrade_to_partial_result(
             self, monkeypatch, memory_golden, memory_baseline):
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0], [0, 1]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            kill_shards=((0, 0), (0, 1)), delay_seconds=0.2).to_json())
         result = run_full_scan(memory_golden, jobs=2,
                                policy=RetryPolicy(max_retries=1,
                                                   backoff=0.05))
@@ -252,13 +251,13 @@ class TestWorkerDeath:
         """Journal + worker death + exhausted retries, then a clean rerun:
         the rerun resumes the survivors and equals the uninterrupted run."""
         journal = tmp_path / "journal.sqlite"
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0], [0, 1]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            kill_shards=((0, 0), (0, 1)), delay_seconds=0.2).to_json())
         partial = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 policy=RetryPolicy(max_retries=1,
                                                    backoff=0.05))
         assert not partial.execution.complete
-        monkeypatch.delenv("REPRO_CHAOS")
+        monkeypatch.delenv(PLAN_ENV)
         resumed = run_full_scan(memory_golden, jobs=2, journal=journal,
                                 keep_records=True)
         assert resumed == memory_baseline
@@ -269,8 +268,8 @@ class TestWorkerDeath:
     def test_sampling_survives_worker_death(self, monkeypatch,
                                             memory_golden):
         baseline = run_sampling(memory_golden, 40, seed=7)
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            kill_shards=((0, 0),), delay_seconds=0.2).to_json())
         result = run_sampling(memory_golden, 40, seed=7, jobs=2,
                               policy=RetryPolicy(backoff=0.05))
         assert result == baseline
@@ -282,8 +281,8 @@ class TestHungWorker:
             self, monkeypatch, memory_golden):
         """A worker that never returns must not hang the campaign: its
         shard's experiments come back as Outcome.TIMEOUT."""
-        monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0]]}))
+        monkeypatch.setenv(PLAN_ENV,
+                           ChaosPlan(hang_shards=((0, 0),)).to_json())
         result = run_full_scan(
             memory_golden, jobs=2,
             policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05))
@@ -300,12 +299,12 @@ class TestHungWorker:
     def test_journaled_timeouts_are_not_rerun(self, monkeypatch,
                                               tmp_path, memory_golden):
         journal = tmp_path / "journal.sqlite"
-        monkeypatch.setenv("REPRO_CHAOS",
-                           json.dumps({"hang": [[0, 0]]}))
+        monkeypatch.setenv(PLAN_ENV,
+                           ChaosPlan(hang_shards=((0, 0),)).to_json())
         first = run_full_scan(
             memory_golden, jobs=2, journal=journal,
             policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05))
-        monkeypatch.delenv("REPRO_CHAOS")
+        monkeypatch.delenv(PLAN_ENV)
         second = run_full_scan(memory_golden, jobs=2, journal=journal)
         assert second.execution.executed == 0
         assert second.class_outcomes == first.class_outcomes
@@ -367,8 +366,8 @@ class TestHeartbeat:
         """During an idle wait the progress callback is re-invoked with
         unchanged counts, so a UI can prove the campaign is alive."""
         calls = []
-        monkeypatch.setenv("REPRO_CHAOS", json.dumps(
-            {"hang": [[0, 0]]}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            hang_shards=((0, 0),)).to_json())
         run_full_scan(
             memory_golden, jobs=2, progress=lambda d, t: calls.append(d),
             policy=RetryPolicy(shard_timeout=1.0, poll_interval=0.05,

@@ -15,7 +15,7 @@ import sqlite3
 
 import pytest
 
-from repro.campaign import record_golden, run_full_scan
+from repro.campaign import record_golden, run_brute_force, run_full_scan
 from repro.campaign.journal import (
     SALVAGE_TABLES,
     ExperimentJournal,
@@ -24,7 +24,7 @@ from repro.campaign.journal import (
     invalid_classes,
     salvage_journal,
 )
-from repro.programs import micro
+from repro.programs import hi, micro
 
 from .test_dist import run_dist
 
@@ -151,13 +151,22 @@ class TestInvalidClasses:
         assert invalid_classes(completed, self.EXPECTED) == []
 
 
+def _run_backend(backend, golden, journal):
+    if backend == "dist":
+        result, _, _ = run_dist(golden, journal=journal)
+        return result
+    return run_full_scan(golden, journal=journal, keep_records=True,
+                         jobs=2 if backend == "pool" else None)
+
+
 class TestDistPrunesPartialClasses:
+    @pytest.mark.parametrize("backend", ["serial", "pool", "dist"])
     def test_partial_resumed_class_is_discarded_and_reexecuted(
-            self, tmp_path, memory_golden, memory_baseline):
+            self, backend, tmp_path, memory_golden, memory_baseline):
         """A salvaged journal can hold a class missing its tail rows.
-        The distributed coordinator must catch it at resume, discard
-        it, and re-execute — silently merging it would undercount that
-        class's outcomes forever."""
+        Every backend must catch it at resume, discard it, and
+        re-execute — silently merging it would undercount that class's
+        outcomes forever."""
         path = journal_with_campaign(tmp_path, memory_golden)
         # Surgically truncate one journaled class: drop its last bits,
         # exactly what losing the page holding them does.
@@ -170,11 +179,35 @@ class TestDistPrunesPartialClasses:
                 "DELETE FROM class_results WHERE axis = ? AND "
                 "first_slot = ? AND bit > 0", (axis, first_slot))
         conn.close()
-        result, _, _ = run_dist(memory_golden, journal=path)
+        result = _run_backend(backend, memory_golden, path)
         execution = result.execution
         assert execution.discarded_results >= 1
         assert execution.complete
         assert result == memory_baseline
+        with ExperimentJournal(path) as journal:
+            (entry,) = journal.fabric_report()
+        assert any(event["kind"] == "salvage-prune"
+                   for event in entry["events"])
+
+    def test_truncated_brute_force_slot_is_discarded_and_reexecuted(
+            self, tmp_path):
+        """The brute-force unit is one injection slot: a slot that lost
+        rows must be re-run, not resumed into a partial ground truth."""
+        golden = record_golden(hi.baseline())
+        baseline = run_brute_force(golden)
+        path = tmp_path / "brute.sqlite"
+        run_brute_force(golden, journal=path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("DELETE FROM coordinate_results WHERE slot = 3 "
+                         "AND bit > 1")
+        conn.close()
+        result = run_brute_force(golden, journal=path)
+        assert result.execution.discarded_results == 1
+        assert result.execution.executed == 1
+        assert result.execution.complete
+        assert result == baseline
+        assert len(result.outcomes) == baseline.fault_space_size
         with ExperimentJournal(path) as journal:
             (entry,) = journal.fabric_report()
         assert any(event["kind"] == "salvage-prune"

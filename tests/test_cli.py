@@ -330,10 +330,10 @@ class TestCliDist:
     def test_incomplete_scan_exits_nonzero(self, monkeypatch, capsys):
         """A campaign that lost shards for good must not exit 0 — CI
         pipelines gate on the exit code, not on parsing the report."""
-        import json as json_mod
+        from repro.campaign.dist.chaos import PLAN_ENV, ChaosPlan
 
-        monkeypatch.setenv("REPRO_CHAOS", json_mod.dumps(
-            {"die": [[0, 0]], "die_delay": 0.2}))
+        monkeypatch.setenv(PLAN_ENV, ChaosPlan(
+            kill_shards=((0, 0),), delay_seconds=0.2).to_json())
         status = main(["scan", "memcopy", "--jobs", "2",
                        "--max-retries", "0"])
         out = capsys.readouterr().out
