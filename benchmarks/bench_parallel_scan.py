@@ -11,9 +11,11 @@ repo-root ``BENCH_parallel_scan.json`` (uploaded by CI as an artifact):
 * **Convergence A/B** — the SUM+DMR-hardened variant scanned with the
   convergence early-exit system (checkpoint-digest ladder, masked
   probes, criticality pre-skip) enabled and disabled.  The enabled
-  scan must be at least 2× faster *and* bit-for-bit identical: same
+  scan must be faster *and* bit-for-bit identical: same
   ``CampaignResult``, same exported CSV bytes — speed must never buy
-  back exactness.
+  back exactness.  Timed on the interpreter (≥1.5× quick, ≥2× full
+  scale) and on the default ``auto`` engine (best of 3, ≥1.0×, with
+  at most 3 ladder probes per executed experiment).
 
 Scale knobs (environment):
 
@@ -155,17 +157,38 @@ def test_parallel_scan_scaling(output_dir):
             f"machine, measured {speedups[4]:.2f}x")
 
 
-def test_convergence_ab(output_dir, tmp_path):
-    """Convergence on/off: ≥2× faster, bit-for-bit identical.
+#: Ladder probes per executed (not slice-skipped) experiment allowed on
+#: the default engine; dense exact-cycle probing spent ~7.3.
+MAX_PROBES_PER_EXPERIMENT = 3.0
 
-    The timing A/B is pinned to the interpreter engine: it isolates
-    the convergence subsystem, and the ≥2× floor was calibrated
-    against interpreter-speed tail cycles.  Under the compiled engine
-    the saved cycles are ~15× cheaper while the digest probes are
-    not, so the win shrinks with Δt (measured 0.7–1.1× at quick
-    scale — see EXPERIMENTS.md); those numbers are recorded in the
-    JSON artifact without a floor.  Exactness is asserted for both
-    engines.
+
+def _best_of(runs: int, *scans):
+    """Time each ``scan()`` ``runs`` times; return ``(result, best
+    seconds)`` per scan.  Rounds interleave the scans, so drift in the
+    host's speed over the measurement hits every side alike."""
+    results = [None] * len(scans)
+    best = [float("inf")] * len(scans)
+    for _ in range(runs):
+        for index, scan in enumerate(scans):
+            start = time.perf_counter()
+            results[index] = scan()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return list(zip(results, best))
+
+
+def test_convergence_ab(output_dir, tmp_path):
+    """Convergence on/off: faster, bit-for-bit identical.
+
+    The interpreter A/B isolates the convergence subsystem; its floor
+    was calibrated against interpreter-speed tail cycles.  The default
+    engine (``auto``, the compiled tier here) retires tail cycles ~15×
+    cheaper, so the early exit pays only because its probes stop at
+    superblock boundaries and start at a gap sized to the remaining
+    tail (measured 1.1–1.4× at quick scale — see EXPERIMENTS.md).  It
+    gets two gates: a deterministic one on the probe count (at most
+    :data:`MAX_PROBES_PER_EXPERIMENT` per executed experiment) and a
+    best-of-3 timing floor of 1.0×, i.e. the early exit must never make
+    the default path slower.  Exactness is asserted for every engine.
     """
     program = sync2.hardened() if _full_scale() else sync2.hardened(2)
     golden = record_golden(program)
@@ -195,6 +218,17 @@ def test_convergence_ab(output_dir, tmp_path):
     assert on_jit == on and off_jit == off, \
         "compiled engine changed campaign outcomes"
 
+    auto_engine = ExecutorConfig().build(golden, partition=partition) \
+        .engine.name
+    (on_auto, t_on_auto), (off_auto, t_off_auto) = _best_of(
+        3,
+        lambda: run_full_scan(golden, partition=partition,
+                              config=ExecutorConfig()),
+        lambda: run_full_scan(golden, partition=partition,
+                              config=ExecutorConfig(use_convergence=False)))
+    assert on_auto == on and off_auto == off, \
+        "auto engine changed campaign outcomes"
+
     # Exactness first: the optimized scan must be indistinguishable.
     assert on == off, "convergence early-exit changed campaign outcomes"
     on_csv, off_csv = tmp_path / "on.csv", tmp_path / "off.csv"
@@ -208,6 +242,9 @@ def test_convergence_ab(output_dir, tmp_path):
     skips = on.execution.slice_hits
     speedup = t_off / t_on
     hit_rate = (conv + skips) / experiments
+    auto_speedup = t_off_auto / t_on_auto
+    probes = on_auto.execution.convergence_checks
+    probes_per_experiment = probes / (experiments - skips)
 
     lines = [
         f"convergence A/B on {program.name} "
@@ -223,6 +260,10 @@ def test_convergence_ab(output_dir, tmp_path):
         f"  combined hit rate: {hit_rate:.1%}",
         f"  compiled engine  : on {t_on_jit:.3f}s / off {t_off_jit:.3f}s "
         f"({t_off_jit / t_on_jit:.2f}x)",
+        f"  auto engine ({auto_engine}), best of 3: on {t_on_auto:.3f}s / "
+        f"off {t_off_auto:.3f}s ({auto_speedup:.2f}x); "
+        f"{probes} probes, {probes_per_experiment:.2f} per executed "
+        f"experiment",
     ]
     report = "\n".join(lines) + "\n"
     with (output_dir / "parallel_scan.txt").open("a") as fh:
@@ -245,7 +286,22 @@ def test_convergence_ab(output_dir, tmp_path):
         "compiled_wall_clock_on_seconds": round(t_on_jit, 3),
         "compiled_wall_clock_off_seconds": round(t_off_jit, 3),
         "compiled_speedup": round(t_off_jit / t_on_jit, 2),
+        "auto_engine": auto_engine,
+        "auto_wall_clock_on_seconds": round(t_on_auto, 3),
+        "auto_wall_clock_off_seconds": round(t_off_auto, 3),
+        "auto_speedup": round(auto_speedup, 2),
+        "auto_convergence_checks": probes,
+        "auto_probes_per_executed_experiment":
+            round(probes_per_experiment, 3),
     })
+
+    assert probes_per_experiment <= MAX_PROBES_PER_EXPERIMENT, (
+        f"the default engine spent {probes_per_experiment:.2f} ladder "
+        f"probes per executed experiment (gate: "
+        f"{MAX_PROBES_PER_EXPERIMENT})")
+    assert auto_speedup >= 1.0, (
+        f"the convergence early-exit slowed the default engine down: "
+        f"best-of-3 on/off {auto_speedup:.2f}x")
 
     # Floor: full scale has a long post-injection tail and comfortably
     # clears 2x; quick scale (Δt ~ 2k cycles) hovers around 1.8-2.3x

@@ -117,10 +117,10 @@ def completeness_report(report: ExecutionReport) -> str:
             f"as timeout")
     if report.shard_retries:
         lines.append(f"  worker retries: {report.shard_retries}")
-    if report.convergence_hits:
+    if report.convergence_hits or report.convergence_checks:
         lines.append(
             f"  convergence early-exits: {report.convergence_hits} "
-            f"experiment(s) classified at a golden checkpoint")
+            f"experiment(s) in {report.convergence_checks} probe(s)")
     if report.slice_hits:
         lines.append(
             f"  criticality pre-skips: {report.slice_hits} "

@@ -575,6 +575,7 @@ class DistCoordinator:
                 self.report.crosschecked += 1
             self.report.executed += 1
             self.report.convergence_hits += int(frame.get("hits", 0))
+            self.report.convergence_checks += int(frame.get("probes", 0))
             self.report.slice_hits += int(frame.get("skips", 0))
             self.report.scalar_tail_experiments += int(
                 frame.get("tails", 0))

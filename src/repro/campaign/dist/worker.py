@@ -291,7 +291,7 @@ class DistWorker:
                 return True
             if self._chaos is not None:
                 self._chaos.before_class(key)
-            [(_, results)], (hits, skips, tails) = run_group(
+            [(_, results)], (hits, probes, skips, tails) = run_group(
                 executor, [(key, interval.experiments())])
             self.executed += 1
             rows = [[bit, outcome.value, end_cycle, trap]
@@ -301,7 +301,8 @@ class DistWorker:
                 "type": "result", "lease": lease_id, "shard": shard,
                 "key": list(key), "rows": rows,
                 "crc": result_digest(key, rows),
-                "hits": hits, "skips": skips, "tails": tails,
+                "hits": hits, "probes": probes, "skips": skips,
+                "tails": tails,
             }
             self._send(stream, message)
         self._send(stream, {"type": "lease_done", "lease": lease_id,

@@ -45,7 +45,12 @@ miss cost low:
 * Check gaps double after every miss, so a run that never converges
   (a real failure) pays O(log tail) digests instead of a fixed
   per-stride toll, while a converging run is still caught within ~2×
-  its convergence latency.
+  its convergence latency.  The interpreter starts at a gap of one
+  stride and stops on exact cycles.  The compiled tier sizes the
+  first gap to the remaining golden tail (up to
+  :data:`FIRST_GAP_CAP`) and, on a dense ladder, stops each probe at
+  a superblock boundary, so probing never forces the JIT into
+  per-instruction fallback.
 
 A fourth early exit needs no digest at all: the **criticality
 pre-skip**.  A backward slice of the golden run
@@ -63,8 +68,10 @@ cells are a strict subset of non-critical ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..engine import ExecutionEngine, get_engine
+from ..engine.compiled import CompiledMachine
 from ..faultspace.domain import FaultDomain, MEMORY, get_domain
 from ..faultspace.slicing import backward_slice
 from ..faultspace.model import FaultCoordinate
@@ -86,6 +93,8 @@ def _classify_diverged(detections: tuple[tuple[int, int], ...]) -> Outcome:
 DEFAULT_TIMEOUT_FACTOR = 3.0
 #: Minimum extra cycles granted beyond the golden runtime.
 DEFAULT_TIMEOUT_SLACK = 256
+#: Largest first convergence-probe gap on the compiled tier, in cycles.
+FIRST_GAP_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -225,6 +234,9 @@ class ExperimentExecutor:
         oracle = golden.output if early_stop else None
         self._machine = self.engine.create_machine(golden.program,
                                                    oracle=oracle)
+        #: Probe on the compiled tier's schedule (see
+        #: :meth:`_seek_convergence`); the interpreter probes densely.
+        self._jit_probes = isinstance(self._machine, CompiledMachine)
         self._pristine = self.engine.create_machine(golden.program)
         self._snapshot: MachineState | None = None
         # Criticality map for the pre-run skip and the masked-probe
@@ -355,17 +367,35 @@ class ExperimentExecutor:
 
         Check positions stay aligned to the ladder stride (off-stride
         cycles have no rung to match under a zero shift) and the gap
-        between checks doubles after every miss.
+        between checks doubles after every miss; each next target
+        counts from the cycle actually reached.  On the compiled tier
+        the first gap is sized to the remaining golden tail, and with
+        a dense ladder (stride 1) every probe stops at a superblock
+        boundary (:meth:`~repro.engine.compiled.CompiledMachine.run_to_boundary`)
+        instead of splitting a block into interpreter steps.  The
+        schedule never changes a record: a match at any cycle
+        classifies identically (see :meth:`_converged_record`).
         """
         stride = self._stride
         table = self._golden_cycle_of
         limit = self.timeout_cycles
         inject = self.domain.inject
+        cycle = machine.cycle
         gap = stride
-        target = machine.cycle + gap
+        advance = machine.run_to_cycle
+        if self._jit_probes:
+            # A digest costs about as much as a few dozen compiled
+            # cycles, so the first gap grows with the remaining golden
+            # tail: short tails keep dense probes, long ones skip the
+            # 1-, 2-, 4-cycle rungs that cannot pay for themselves.
+            gap = max(stride, min(FIRST_GAP_CAP,
+                                  (self.golden.cycles - cycle) // 16))
+            if stride == 1:
+                advance = partial(machine.run_to_boundary, limit=limit)
+        target = cycle + gap
         target += -target % stride
         while target < limit:
-            machine.run_to_cycle(target)
+            advance(target)
             if machine.halted:
                 return None
             self.convergence_checks += 1
@@ -385,7 +415,7 @@ class ExperimentExecutor:
                         coordinate, masked):
                     return masked
             gap *= 2
-            target += gap
+            target = machine.cycle + gap
             target += -target % stride
         return None
 
@@ -521,10 +551,11 @@ class BatchExperimentExecutor(ExperimentExecutor):
       into lockstep, otherwise it finishes scalar via
       :meth:`~ExperimentExecutor._finish` (counted in
       :attr:`~ExperimentExecutor.scalar_tail_experiments`);
-    * the convergence ladder is probed per live lane at the same
-      stride-aligned, exponentially backed-off checkpoints the scalar
-      executor uses.  Admitted lanes join whatever schedule the pack is
-      on — sound because a digest match at *any* checkpoint classifies
+    * the convergence ladder is probed per live lane at the
+      stride-aligned, exponentially backed-off checkpoints of the
+      interpreter's dense schedule (lanes stop on exact cycles anyway).
+      Admitted lanes join whatever schedule the pack is on — sound
+      because a digest match at *any* checkpoint classifies
       identically (see :meth:`_converged_record`: the end cycle is
       shift-invariant and the emitted prefix is completed from golden
       output), so the checkpoint schedule never affects records.

@@ -237,6 +237,12 @@ class ExecutionReport:
     #: early-exit).  Purely a performance diagnostic — outcomes are
     #: identical with the optimization off.
     convergence_hits: int = 0
+    #: Convergence-ladder probes (checkpoint digests compared) spent
+    #: on the experiments executed in this invocation, hit or miss —
+    #: the price of :attr:`convergence_hits`.  The probe schedule
+    #: depends only on the experiment, so every backend reports the
+    #: same count.
+    convergence_checks: int = 0
     #: Experiments classified without executing a single post-injection
     #: cycle because the backward slice proved the injected cell
     #: non-critical (the criticality pre-skip).  Like

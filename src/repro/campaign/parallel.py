@@ -245,7 +245,8 @@ def tune_shard_count(total_cost_cycles: int, requested: int,
 
 #: Executor diagnostic counters every backend reports as per-run deltas
 #: (the executor, and so its counters, outlives the units it runs).
-COUNTERS = ("convergence_hits", "slice_hits", "scalar_tail_experiments")
+COUNTERS = ("convergence_hits", "convergence_checks", "slice_hits",
+            "scalar_tail_experiments")
 
 
 def execute_units(executor: ExperimentExecutor, expand, units):

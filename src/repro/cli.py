@@ -202,6 +202,7 @@ def _print_execution(execution) -> None:
         return
     if (execution.resumed or execution.timed_out_shards
             or execution.shard_retries or execution.convergence_hits
+            or execution.convergence_checks
             or execution.slice_hits or execution.scalar_tail_experiments
             or execution.composed_hits or execution.integrity_rejected
             or execution.crosschecked or execution.discarded_results

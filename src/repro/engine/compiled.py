@@ -28,6 +28,9 @@ results must be bit-for-bit those of the interpreter:
   whole blocks that fit the remaining budget; budget tails and mid-block
   entry points (snapshot restores, ``jalr`` into a block body) fall back
   to the interpreter's own pre-bound handlers one instruction at a time.
+  Callers content with any block boundary near a target (the
+  convergence probes) use :meth:`CompiledMachine.run_to_boundary`,
+  which never splits a block to meet one.
 * Traps raise the exact :class:`~repro.isa.errors.CPUException`
   subclasses with the interpreter's messages, ``pc``/``cycle``
   attributes, and its halted/pc/cycle post-state.
@@ -95,6 +98,9 @@ class CompiledCode:
     run_fn: object
     #: Block-leader pcs the generated dispatch tree accepts.
     leaders: frozenset
+    #: Per ROM pc, the instructions from it to the end of its block
+    #: (a leader's entry is its block's length).
+    tails: tuple
     #: Generated source, kept for debugging and tests.
     source: str
 
@@ -556,9 +562,14 @@ class _Codegen:
         }
         code = compile(source, "<repro-jit>", "exec")
         exec(code, namespace)
+        tails = [1] * len(self.program.rom)
+        for block in blocks:
+            length = len(block.instrs)
+            for k in range(length):
+                tails[block.start + k] = length - k
         return CompiledCode(run_fn=namespace["_jit"],
                             leaders=frozenset(b.start for b in blocks),
-                            source=source)
+                            tails=tuple(tails), source=source)
 
 
 def compile_program(program: Program) -> CompiledCode | None:
@@ -652,3 +663,56 @@ class CompiledMachine(Machine):
             else:
                 self.halted = True
                 raise IllegalPC(f"pc {pc} outside ROM", pc=pc, cycle=cycle)
+
+    def run_to_boundary(self, target: int, limit: int | None = None) -> None:
+        """Advance to a block boundary at or before ``target``.
+
+        Unlike :meth:`run_to_cycle` this never splits a block to land
+        on an exact cycle, so the stop is a block leader and the next
+        call resumes on the generated fast path.  A mid-block pc (right
+        after an injection, or a ``jalr`` into a block body) first
+        steps the interpreter to the next leader, stopping at
+        ``target`` if the tail is longer.  Every call with
+        ``target > cycle`` makes progress: when not even the block at
+        pc fits before ``target``, that one block runs anyway if it
+        ends by ``limit``; otherwise (or without a ``limit``) the call
+        steps exactly to ``target``.
+
+        The convergence ladder uses this for its probes (any cycle has
+        a rung), trading an exact stop for whole-block execution.
+        With a tracer attached, an armed stuck-at latch, or no JIT
+        artifact it is :meth:`run_to_cycle`.
+        """
+        jit = self._jit
+        if jit is None or self.tracer is not None or self._stuck is not None:
+            self.run_to_cycle(target)
+            return
+        if target < self.cycle:
+            raise ValueError(
+                f"cannot run backwards: at cycle {self.cycle}, "
+                f"target {target}")
+        run_fn, leaders, tails = jit.run_fn, jit.leaders, jit.tails
+        step = super()._run_until
+        start = self.cycle
+        while not self.halted:
+            cycle = self.cycle
+            if cycle >= target:
+                break
+            pc = self.pc
+            if pc not in leaders:
+                # Mid-block: the interpreter runs the tail, which ends
+                # on a leader (or a ``jalr`` target).  Outside ROM, one
+                # step halts or raises exactly as the interpreter does.
+                step(min(target, cycle + tails[pc])
+                     if 0 <= pc < len(tails) else cycle + 1)
+                continue
+            run_fn(self, target)
+            if self.halted or self.cycle != cycle:
+                continue
+            # The block at pc does not fit before ``target``.
+            if cycle == start:
+                if limit is not None and cycle + tails[pc] <= limit:
+                    run_fn(self, cycle + tails[pc])
+                else:
+                    step(target)
+            break

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import (
+    completeness_report,
     failure_attribution,
     fig2_report,
     fig3_report,
@@ -13,6 +14,7 @@ from repro.analysis import (
 )
 from repro.analysis.figures import Fig2Series
 from repro.campaign import CampaignSummary, record_golden, run_full_scan
+from repro.campaign.journal import ExecutionReport
 from repro.programs import hi
 
 
@@ -74,3 +76,14 @@ class TestReports:
         assert attribution
         assert attribution[0][0] == "msg"
         assert attribution[0][1] == 48
+
+    def test_completeness_report_prices_convergence_hits(self):
+        text = completeness_report(ExecutionReport(
+            total_units=4, executed=4, convergence_hits=96,
+            convergence_checks=128))
+        assert "convergence early-exits: 96 experiment(s) in 128 " \
+            "probe(s)" in text
+        # Probes that never hit are shown too: they are pure cost.
+        text = completeness_report(ExecutionReport(
+            total_units=2, executed=2, convergence_checks=16))
+        assert "0 experiment(s) in 16 probe(s)" in text

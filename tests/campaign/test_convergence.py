@@ -15,6 +15,7 @@ import pytest
 
 from repro.campaign import (
     ExecutorConfig,
+    Outcome,
     export_class_results_csv,
     record_golden,
     run_brute_force,
@@ -23,8 +24,9 @@ from repro.campaign import (
 )
 from repro.campaign.experiment import ExperimentExecutor
 from repro.campaign.golden import MAX_CHECKPOINTS
+from repro.engine.compiled import CompiledMachine
 from repro.isa import Machine, assemble
-from repro.programs import hi, micro
+from repro.programs import hi, micro, sync2
 
 ON = ExecutorConfig(use_convergence=True)
 OFF = ExecutorConfig(use_convergence=False)
@@ -87,6 +89,116 @@ class TestOutcomeInvariance:
         assert scan.execution.convergence_hits > 0
         brute = run_brute_force(golden, domain="register", config=ON)
         assert brute.execution.slice_hits > 0
+
+
+def scan_on_off(golden, domain, **config):
+    """Full scans with convergence on and off, records kept."""
+    return [run_full_scan(golden, domain=domain, keep_records=True,
+                          config=ExecutorConfig(use_convergence=conv,
+                                                **config))
+            for conv in (True, False)]
+
+
+def assert_same_scan(on, off, tmp_path):
+    """Equal results (records included) and byte-identical CSVs."""
+    assert on == off
+    on_csv, off_csv = tmp_path / "on.csv", tmp_path / "off.csv"
+    export_class_results_csv(on, on_csv)
+    export_class_results_csv(off, off_csv)
+    assert on_csv.read_bytes() == off_csv.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def hardened():
+    """SUM+DMR sync2: 1,130 cycles, long enough for the compiled tier's
+    first probe gap to reach its cap and for probes to stop at block
+    boundaries rather than on exact cycles."""
+    return record_golden(sync2.hardened(1))
+
+
+@pytest.fixture(scope="module")
+def hardened_off(hardened):
+    """Convergence-off reference scans of :func:`hardened`, per domain.
+
+    Run on the compiled engine; the engine-equivalence suite holds it
+    bit-identical to the interpreter.
+    """
+    cache = {}
+
+    def scan(domain):
+        if domain not in cache:
+            cache[domain] = run_full_scan(
+                hardened, domain=domain, keep_records=True,
+                config=ExecutorConfig(use_convergence=False,
+                                      engine="compiled"))
+        return cache[domain]
+    return scan
+
+
+class TestProbeScheduleExactness:
+    """On/off equality where the compiled-tier probe schedule runs.
+
+    Records are kept, so every experiment's end cycle and trap are
+    compared, not only its outcome.
+    """
+
+    @pytest.fixture
+    def boundary_stops(self, monkeypatch):
+        """Count probe advances that stopped short of their target."""
+        stops = {"calls": 0, "short": 0}
+        advance = CompiledMachine.run_to_boundary
+
+        def spy(machine, target, limit=None):
+            advance(machine, target, limit)
+            stops["calls"] += 1
+            stops["short"] += machine.cycle != target
+        monkeypatch.setattr(CompiledMachine, "run_to_boundary", spy)
+        return stops
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    @pytest.mark.parametrize("domain", ["memory", "register"])
+    def test_full_scan_equal(self, hardened, hardened_off, domain,
+                             engine, boundary_stops, tmp_path):
+        on = run_full_scan(hardened, domain=domain, keep_records=True,
+                           config=ExecutorConfig(engine=engine))
+        assert_same_scan(on, hardened_off(domain), tmp_path)
+        assert on.execution.convergence_hits > 0
+        if engine == "compiled":
+            assert boundary_stops["short"] > 0
+        else:
+            # The interpreter keeps its dense, exact-cycle schedule.
+            assert boundary_stops["calls"] == 0
+
+    def test_stuck_at_scan_equal(self, boundary_stops, tmp_path):
+        """An armed latch pins probes to exact cycles until the
+        releasing store; after it the boundary schedule takes over.
+        (Baseline sync2: a hardened stuck-at scan takes ~10 s.)"""
+        golden = record_golden(sync2.baseline(1))
+        on, off = scan_on_off(golden, "stuck", engine="compiled")
+        assert_same_scan(on, off, tmp_path)
+        assert on.execution.convergence_hits > 0
+        assert boundary_stops["short"] > 0
+
+    def test_probes_never_overrun_the_cycle_budget(self, tmp_path):
+        """A probe may run one whole block past its target, but never
+        past the timeout budget: here the budget ends inside a 22-cycle
+        loop body that register faults on the counter keep spinning."""
+        body = "\n".join("        addi r1, r1, 1" for _ in range(20))
+        program = assemble(f"""\
+        .text
+start:  li   r3, 6
+loop:
+{body}
+        addi r3, r3, -1
+        bnez r3, loop
+        halt
+""", name="longblock", ram_size=4)
+        golden = record_golden(program)
+        on, off = scan_on_off(golden, "register", engine="compiled",
+                              timeout_factor=1.0, timeout_slack=10)
+        assert_same_scan(on, off, tmp_path)
+        assert any(record.outcome is Outcome.TIMEOUT
+                   for record in on.records)
 
 
 class TestJournalCompatibility:

@@ -252,6 +252,18 @@ class TestDistEquality:
         assert result == register_baseline
         assert result.records == register_baseline.records
 
+    def test_executor_counters_match_serial(self, register_golden,
+                                            register_baseline):
+        """Hits, probes and skips travel in every result frame; the
+        probe schedule depends only on the experiment, so the fabric's
+        totals are the serial run's."""
+        result, _, _ = run_dist(register_golden, domain="register")
+        for name in ("convergence_hits", "convergence_checks",
+                     "slice_hits"):
+            assert getattr(result.execution, name) \
+                == getattr(register_baseline.execution, name), name
+        assert result.execution.convergence_checks > 0
+
     def test_csv_export_is_byte_identical(self, tmp_path, memory_golden,
                                           memory_baseline):
         result, _, _ = run_dist(memory_golden)

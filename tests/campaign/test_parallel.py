@@ -28,7 +28,7 @@ JOB_COUNTS = (1, 2, 4)
 #: Execution-report counters every backend must agree on.  ``execution``
 #: is excluded from result equality, so drift here would go unseen.
 BOOKKEEPING = ("executed", "resumed", "composed_hits", "convergence_hits",
-               "slice_hits", "total_units")
+               "convergence_checks", "slice_hits", "total_units")
 
 
 def assert_same_bookkeeping(parallel, serial):

@@ -9,6 +9,7 @@ early-exit keys on.  The interpreter is deliberately simple; the JIT
 is only allowed to be faster, never different.
 """
 
+import itertools
 import random
 
 import pytest
@@ -296,6 +297,118 @@ class TestOracleDivergence:
         jit.run(10_000_000)
         assert final_state(interp) == final_state(jit)
         assert interp.tracer.events == jit.tracer.events
+
+
+class TestRunToBoundary:
+    """The convergence probes' block-boundary advance.
+
+    After every stop the machine must equal an interpreter run to the
+    same cycle; where it stops is the only freedom it has.
+    """
+
+    def walk(self, program, gaps, *, slack=None):
+        """Advance by ``gaps`` (cycled) to the end; yield each stop as
+        ``(start, target, limit, machine)`` after checking it against
+        the interpreter."""
+        jit, ref = CompiledMachine(program), Machine(program)
+        gaps = itertools.cycle(gaps)
+        while not jit.halted:
+            start = jit.cycle
+            target = start + next(gaps)
+            limit = None if slack is None else target + slack
+            jit.run_to_boundary(target, limit)
+            assert jit.cycle > start or jit.halted  # progress
+            ref.run_to_cycle(jit.cycle)
+            if jit.halted:
+                ref.run_to_cycle(10_000_000)
+            assert final_state(jit) == final_state(ref)
+            yield start, target, limit, jit
+
+    @pytest.mark.parametrize("name", ["bin_sem2", "checksum", "sync2"])
+    def test_stops_at_leaders_at_or_before_target(self, name):
+        program = PROGRAMS[name]()
+        leaders = compile_program(program).leaders
+        early = 0
+        for _, target, _, jit in self.walk(program, (1, 5, 16, 64, 3)):
+            if jit.halted:
+                break
+            assert jit.cycle == target or (
+                jit.pc in leaders and jit.cycle < target)
+            early += jit.cycle < target
+        assert early  # whole blocks, not exact cycles, were the rule
+
+    @pytest.mark.parametrize("name", ["bin_sem2", "sync2"])
+    def test_limit_lets_one_block_overrun(self, name):
+        """With room past the target, a block too long for the gap runs
+        whole: the stop is still a leader, one block past the start."""
+        program = PROGRAMS[name]()
+        code = compile_program(program)
+        leaders = code.leaders
+        overruns = 0
+        pc = program.entry
+        for start, target, limit, jit in self.walk(program, (1, 2),
+                                                   slack=1000):
+            if jit.halted:
+                break
+            assert jit.pc in leaders or jit.cycle == target
+            if jit.cycle > target:
+                assert pc in leaders
+                assert jit.cycle == start + code.tails[pc] <= limit
+                overruns += 1
+            pc = jit.pc
+        assert overruns
+
+    def test_halt_divergence_and_traps_match_run_to_cycle(self):
+        """Run to the end by boundary stops: the post-state (and trap)
+        is the interpreter's, also when an overrunning block ends it."""
+        hi = PROGRAMS["hi"]()
+        golden = Machine(hi)
+        golden.run(10_000)
+        wrong = bytes([golden.serial[0] ^ 1]) + bytes(golden.serial[1:])
+        cases = [(hi, None), (PROGRAMS["sync2"](), None), (hi, wrong)]
+        for source in ("li r1, 2\nlw r2, 0(r1)\nhalt",
+                       "li r1, 7\ndivu r2, r1, r0\nhalt",
+                       "li r1, 4000\njalr r2, 0(r1)"):
+            cases.append((assemble(source, name="trap", ram_size=16), None))
+
+        def observe(machine, advance):
+            trap = None
+            try:
+                while not machine.halted:
+                    advance(machine)
+            except CPUException as exc:
+                trap = (type(exc).__name__, str(exc), exc.pc, exc.cycle)
+            return trap, final_state(machine)
+
+        for program, oracle in cases:
+            reference = observe(Machine(program, oracle=oracle),
+                                lambda m: m.run_to_cycle(10_000))
+            assert reference[1]["halted"]
+            for gap, limit in ((1, 10_000), (3, None), (10_000, None)):
+                assert observe(
+                    CompiledMachine(program, oracle=oracle),
+                    lambda m: m.run_to_boundary(m.cycle + gap, limit),
+                ) == reference, (program.name, gap)
+
+    def test_armed_stuck_at_latch_takes_the_exact_path(self):
+        """Generated stores bypass the latch's release hook, so an armed
+        latch hands the call to :meth:`run_to_cycle` (which steps the
+        interpreter until the releasing store)."""
+        program = PROGRAMS["sync2"]()
+        jit, ref = CompiledMachine(program), Machine(program)
+        for machine in (jit, ref):
+            machine.run_to_cycle(10)
+            machine.stuck_at(0, 0, 1)
+        exact = []
+
+        def run_to_cycle(target):
+            exact.append(target)
+            CompiledMachine.run_to_cycle(jit, target)
+        jit.run_to_cycle = run_to_cycle
+        jit.run_to_boundary(200, 10_000)
+        ref.run_to_cycle(200)
+        assert exact == [200]
+        assert final_state(jit) == final_state(ref)
 
 
 class TestEngineRegistry:
