@@ -9,6 +9,27 @@ mid-campaign and asserts the surviving fabric still converges to the
 identical result — the robustness the fabric exists for, measured
 rather than assumed.
 
+Every scaling run is also split into the fabric's phases, from
+timestamps hooked onto the coordinator module from outside (worker
+``Popen``, each frame the coordinator reads, ``_assemble``):
+
+``spawn_to_hello_s``
+    first worker ``Popen`` → first ``hello`` (interpreter start-up and
+    ``import repro`` in the worker)
+``hello_to_ready_s``
+    per worker ``hello`` → ``ready`` (campaign shipping and golden
+    re-verification), slowest worker
+``work_s``
+    first ``ready`` → last ``result``
+``tail_s``
+    last ``lease_done`` → assembly start (idle workers hearing ``done``)
+``assembly_s``
+    ``_assemble`` itself
+
+The 2-worker run asserts ``tail_s <= MAX_TAIL_SECONDS``: an idle worker
+must leave as soon as the coordinator broadcasts ``done``, not at the
+end of a sleep.
+
 Human-readable report in ``output/dist_scan.txt``; machine-readable
 perf trajectory in repo-root ``BENCH_dist_scan.json`` (uploaded by CI
 as an artifact, stamped with git SHA + timestamp by the shared
@@ -42,12 +63,19 @@ from repro.campaign import (
     record_golden,
     run_full_scan,
 )
+from repro.campaign.dist import coordinator as coordinator_module
 from repro.campaign.dist import run_distributed_scan
 from repro.campaign.dist.coordinator import DistCoordinator, serve_in_thread
 from repro.programs import sync2
 
 #: Snappy failure detection for loopback chaos runs.
 POLICY = RetryPolicy(heartbeat=0.5, poll_interval=0.05, backoff=0.1)
+
+#: Gate on the 2-worker run's last ``lease_done`` → assembly gap.  An
+#: idle worker sleeping out its ``wait`` held it for up to 1 s; waiting
+#: on the socket, the worker hears ``done`` at once and the gap is a
+#: few milliseconds.
+MAX_TAIL_SECONDS = 0.25
 
 
 def _full_scale() -> bool:
@@ -61,7 +89,73 @@ def _worker_counts() -> list[int]:
     return [1, 2, 4]
 
 
-def test_dist_scan_scaling(output_dir, tmp_path):
+class PhaseClock:
+    """Timestamps of one distributed scan, hooked onto the coordinator.
+
+    Wraps the coordinator module's ``subprocess.Popen`` and
+    ``read_frame`` and ``DistCoordinator._assemble`` through
+    ``monkeypatch``, so the package itself carries no timing code.
+    """
+
+    def __init__(self, monkeypatch):
+        self.spawned: list[float] = []
+        #: ``(time, frame type, connection)`` per frame read.
+        self.frames: list[tuple[float, str, int]] = []
+        self.assembly: tuple[float, float] | None = None
+        popen = coordinator_module.subprocess.Popen
+        read_frame = coordinator_module.read_frame
+        assemble = DistCoordinator._assemble
+
+        def timed_popen(*args, **kwargs):
+            self.spawned.append(time.perf_counter())
+            return popen(*args, **kwargs)
+
+        async def timed_read_frame(reader):
+            frame = await read_frame(reader)
+            if frame is not None:
+                self.frames.append((time.perf_counter(),
+                                    frame.get("type"), id(reader)))
+            return frame
+
+        def timed_assemble(coordinator):
+            start = time.perf_counter()
+            try:
+                return assemble(coordinator)
+            finally:
+                self.assembly = (start, time.perf_counter())
+
+        monkeypatch.setattr(coordinator_module.subprocess, "Popen",
+                            timed_popen)
+        monkeypatch.setattr(coordinator_module, "read_frame",
+                            timed_read_frame)
+        monkeypatch.setattr(DistCoordinator, "_assemble", timed_assemble)
+
+    def reset(self) -> None:
+        self.spawned.clear()
+        self.frames.clear()
+        self.assembly = None
+
+    def _times(self, kind: str) -> list[float]:
+        return [at for at, frame, _ in self.frames if frame == kind]
+
+    def phases(self) -> dict:
+        """Seconds spent in each phase of the run just finished."""
+        hello = {conn: at for at, kind, conn in reversed(self.frames)
+                 if kind == "hello"}
+        ready = {conn: at for at, kind, conn in reversed(self.frames)
+                 if kind == "ready"}
+        assembly_start, assembly_end = self.assembly
+        return {
+            "spawn_to_hello_s": min(hello.values()) - min(self.spawned),
+            "hello_to_ready_s": max(ready[conn] - hello[conn]
+                                    for conn in ready),
+            "work_s": max(self._times("result")) - min(ready.values()),
+            "tail_s": assembly_start - max(self._times("lease_done")),
+            "assembly_s": assembly_end - assembly_start,
+        }
+
+
+def test_dist_scan_scaling(output_dir, tmp_path, monkeypatch):
     program = sync2.baseline() if _full_scale() else sync2.baseline(2)
     golden = record_golden(program)
 
@@ -71,11 +165,16 @@ def test_dist_scan_scaling(output_dir, tmp_path):
     serial_csv = tmp_path / "serial.csv"
     export_class_results_csv(serial, serial_csv)
 
+    clock = PhaseClock(monkeypatch)
     rows = [("serial", 1, t_serial, 1.0)]
+    phases = {}
     for workers in _worker_counts():
+        clock.reset()
         start = time.perf_counter()
+        # The default policy, as ``scan --dist`` runs it: an idle
+        # worker is told to wait a full (capped) second.
         dist = run_distributed_scan(golden, workers=workers,
-                                    keep_records=True, policy=POLICY)
+                                    keep_records=True)
         elapsed = time.perf_counter() - start
         assert dist == serial, workers
         assert dist.records == serial.records, workers
@@ -84,6 +183,7 @@ def test_dist_scan_scaling(output_dir, tmp_path):
         assert dist_csv.read_bytes() == serial_csv.read_bytes(), workers
         rows.append((f"workers={workers}", workers, elapsed,
                      t_serial / elapsed))
+        phases[workers] = clock.phases()
 
     live = len(serial.class_outcomes)
     lines = [
@@ -99,6 +199,13 @@ def test_dist_scan_scaling(output_dir, tmp_path):
     for label, workers, elapsed, speedup in rows:
         lines.append(f"{label:12s} {workers:7d} {elapsed:10.3f}s "
                      f"{speedup:7.2f}x")
+    names = list(next(iter(phases.values())))
+    lines += ["", "phase split, seconds:",
+              f"{'workers':>7s} " + " ".join(f"{name[:-2]:>14s}"
+                                             for name in names)]
+    for workers, split in phases.items():
+        lines.append(f"{workers:7d} " + " ".join(
+            f"{split[name]:14.3f}" for name in names))
     report = "\n".join(lines) + "\n"
     (output_dir / "dist_scan.txt").write_text(report)
     print()
@@ -112,10 +219,15 @@ def test_dist_scan_scaling(output_dir, tmp_path):
         "runs": [
             {"workers": workers,
              "wall_clock_seconds": round(elapsed, 3),
-             "speedup": round(speedup, 2)}
+             "speedup": round(speedup, 2),
+             "phases": {name: round(seconds, 3)
+                        for name, seconds in phases[workers].items()}}
             for _, workers, elapsed, speedup in rows[1:]
         ],
+        "max_tail_seconds": MAX_TAIL_SECONDS,
     })
+    if 2 in phases:
+        assert phases[2]["tail_s"] <= MAX_TAIL_SECONDS, phases[2]
 
 
 def test_dist_scan_survives_sigkill(output_dir, tmp_path):

@@ -53,7 +53,9 @@ journal resumes with only in-flight work lost.
 
 The section-store write of freshly executed classes is deferred to
 assembly time, after all discards have settled, so a byzantine row can
-never poison the cross-campaign section store.
+never poison the cross-campaign section store.  It is skipped when the
+coordinator journals into its own in-memory database, whose store
+nobody could read afterwards.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class DistCoordinator:
     stop dominating tiny scans.  ``journal`` is where results and lease state
     persist — pass a real path to make the coordinator restartable;
     ``None`` journals to a private in-memory database, which still
-    provides the idempotent-merge funnel but not crash tolerance.
+    provides the idempotent-merge funnel but not crash tolerance, nor
+    a section store worth writing at assembly.
 
     ``stop_after_results`` is a test hook: the coordinator abruptly
     drops every connection and returns ``None`` after accepting that
@@ -789,10 +792,12 @@ class DistCoordinator:
         """Merge the journal into a serial-identical CampaignResult."""
         campaign, style = self.campaign, self.campaign.style
         campaign.rows, _ = style.load(self.handle)
-        if campaign.composer is not None:
+        if campaign.composer is not None and self.journal is not None:
             # Deferred section-store write: only classes that survived
             # CRC checks, cross-check verification and byzantine
-            # rollback reach the cross-campaign store.
+            # rollback reach the cross-campaign store.  A private
+            # in-memory journal dies with this coordinator, and its
+            # store with it, so it is not written at all.
             for key, rows in campaign.rows.items():
                 if key not in self._initial_completed:
                     style.store(campaign.composer, key, rows)

@@ -16,10 +16,13 @@ ascending slot order (preserving the executor's snapshot fast-forward)
 and streams one ``result`` frame per class, so the coordinator journals
 progress continuously and a worker lost mid-shard forfeits only the
 class in flight.  A daemon heartbeat thread shares the socket under a
-send lock.  Every connection failure is survivable: the worker
-reconnects with jittered exponential backoff and simply asks for work
-again — the coordinator's lease board and idempotent journal make the
-retried deliveries harmless.
+send lock.  A worker told to ``wait`` blocks on its socket for up to
+the granted seconds (capped at one) rather than sleeping, so the
+coordinator's ``done`` broadcast ends an idle worker at once instead of
+holding campaign assembly for the rest of its nap.  Every connection
+failure is survivable: the worker reconnects with jittered exponential
+backoff and simply asks for work again — the coordinator's lease board
+and idempotent journal make the retried deliveries harmless.
 
 Every result frame carries a :func:`~.protocol.result_digest` CRC over
 its key and rows, computed *before* the frame is handed to the
@@ -258,12 +261,25 @@ class DistWorker:
             if frame is None:
                 raise ConnectionError("coordinator closed the connection")
             kind = frame.get("type")
+            if kind == "wait":
+                # Wait on the socket, not on a sleep: the coordinator's
+                # done broadcast then ends an idle worker at once.  A
+                # read timeout just means "ask again".
+                try:
+                    frame = stream.read(
+                        timeout=min(float(frame["seconds"]), 1.0))
+                except socket.timeout:
+                    continue
+                if frame is None:
+                    raise ConnectionError(
+                        "coordinator closed the connection")
+                kind = frame.get("type")
+                if kind != "done":
+                    raise ProtocolError(
+                        f"expected done while waiting, got {kind!r}")
             if kind == "done":
                 self._finished = True
                 return
-            if kind == "wait":
-                time.sleep(min(float(frame["seconds"]), 1.0))
-                continue
             if kind != "lease":
                 raise ProtocolError(f"expected lease, got {kind!r}")
             if self._run_lease(stream, frame, executor, intervals, domain):

@@ -29,9 +29,9 @@ Two design rules keep the pool exactly as exact as the inline backend:
   would cause.
 
 Shards are balanced by estimated cost, not unit count: an experiment
-injected at slot *t* replays roughly ``Δt − t + 1`` post-injection cycles,
-so early-slot units are far more expensive than late ones (see
-:func:`class_cost`).
+injected at slot *t* replays roughly ``Δt − t + 1`` post-injection cycles
+plus a fixed per-experiment overhead, so early-slot units are far more
+expensive than late ones (see :func:`class_cost`).
 
 Results are accepted by the campaign in completion order and assembled
 in canonical (serial) order afterwards, which makes ``class_outcomes``
@@ -117,7 +117,8 @@ class RetryPolicy:
     """Timeout, retry and heartbeat policy for the process pool.
 
     The default shard deadline is *derived from the golden run*: a shard
-    estimated at ``c`` post-injection cycles is allowed
+    estimated at ``c`` cycle equivalents (summed :func:`class_cost`,
+    per-experiment overhead included) is allowed
     ``c / cycles_per_second`` wall-clock seconds (floored at
     :attr:`min_shard_timeout` so tiny test programs are never starved).
     ``shard_timeout`` overrides the derivation with a fixed number of
@@ -159,22 +160,39 @@ class RetryPolicy:
 
 # -- load balancing -----------------------------------------------------------
 
+#: Fixed cost of one experiment, in cycle equivalents: restoring the
+#: snapshot, injecting, classifying and recording, whatever the replay
+#: length.  Least-squares fits of wall time against replayed cycles and
+#: experiment count on paper-scale ``sync2`` under the default engine
+#: land between ~900 and ~2,600 (memory and register domains alike).
+EXPERIMENT_OVERHEAD_CYCLES = 1500
+
 
 def class_cost(interval, total_cycles: int, bits: int = 8) -> int:
-    """Estimated post-injection cycle cost of one live class.
+    """Estimated cost of one live class, in simulated-cycle equivalents.
 
     Each of the class's ``bits`` experiments (the domain's per-class
     width: 8 for memory bytes, 32 for registers) resumes at the
     representative injection slot and replays up to the remaining
-    runtime, so the dominant term is ``bits × (Δt − slot + 1)``.  The
-    interval length is added on top for the snapshot fast-forward that
-    walks the pristine machine across the class's slot span.  Balancing
-    shards by this estimate instead of class count keeps workers evenly
-    loaded even though early-slot classes are many times more expensive
-    than late-slot ones.
+    runtime ``Δt − slot + 1``, plus a fixed per-experiment overhead
+    (:data:`EXPERIMENT_OVERHEAD_CYCLES`), so the dominant term is
+    ``bits × (Δt − slot + 1 + overhead)``.  The interval length is added
+    on top for the snapshot fast-forward that walks the pristine machine
+    across the class's slot span.  Balancing shards by this estimate
+    instead of class count keeps workers evenly loaded even though
+    early-slot classes replay many times more cycles than late-slot
+    ones.  Without the overhead term the many late-slot classes that
+    replay almost nothing look free: on paper-scale ``sync2`` the
+    slowest of 8 memory shards ran ~2× the mean and the second of 2
+    register shards ~1.9× the first; with the term, ~1.2× and ~1.3×.
+
+    The same estimate sizes wall-clock shard deadlines
+    (:meth:`RetryPolicy.deadline_for`) and the small-campaign collapse
+    (:func:`tune_shard_count`), so one cost model serves all three.
     """
     remaining = total_cycles - interval.injection_slot + 1
-    return bits * max(1, remaining) + interval.length
+    return bits * (max(1, remaining) + EXPERIMENT_OVERHEAD_CYCLES) \
+        + interval.length
 
 
 def shard_by_cost(items: Sequence, costs: Sequence[int],

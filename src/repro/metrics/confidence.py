@@ -6,14 +6,17 @@ results" (Section III-B).  This module provides the standard estimators
 used with FI sampling: Wald, Wilson and Clopper–Pearson intervals for
 the failure proportion, plus their extrapolation to absolute failure
 counts, and a sample-size planner.
+
+``scipy.stats`` is imported inside the functions that need it, not at
+module level: ``import repro`` pulls this module in, and an eager scipy
+import (~1.4 s, ~65 MB) would be paid by every process that never asks
+for an interval — above all each spawned fabric worker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats
 
 from ..campaign.runner import SamplingResult
 
@@ -62,6 +65,8 @@ def wald_interval(failures: int, samples: int,
     regime of FI failure probabilities — so prefer Wilson or
     Clopper–Pearson; kept for comparison.
     """
+    from scipy import stats
+
     _check(failures, samples)
     p = failures / samples
     z = stats.norm.ppf(0.5 + confidence / 2.0)
@@ -73,6 +78,8 @@ def wald_interval(failures: int, samples: int,
 def wilson_interval(failures: int, samples: int,
                     confidence: float = 0.95) -> Interval:
     """Wilson score interval — good coverage even for rare failures."""
+    from scipy import stats
+
     _check(failures, samples)
     p = failures / samples
     z = stats.norm.ppf(0.5 + confidence / 2.0)
@@ -88,6 +95,8 @@ def wilson_interval(failures: int, samples: int,
 def clopper_pearson_interval(failures: int, samples: int,
                              confidence: float = 0.95) -> Interval:
     """Exact (conservative) binomial interval via beta quantiles."""
+    from scipy import stats
+
     _check(failures, samples)
     alpha = 1.0 - confidence
     low = (0.0 if failures == 0
@@ -138,6 +147,8 @@ def required_samples(expected_proportion: float, *, half_width: float,
         raise ValueError("expected_proportion must be in [0, 1]")
     if half_width <= 0:
         raise ValueError("half_width must be positive")
+    from scipy import stats
+
     z = stats.norm.ppf(0.5 + confidence / 2.0)
     p = expected_proportion
     n = (z * z * p * (1.0 - p)) / (half_width * half_width)

@@ -235,6 +235,84 @@ class TestLeaseBoard:
         assert board.retries == 1  # (0, 2) was never submitted
 
 
+class TestWorkerStartup:
+    """What a spawned worker pays before its first ``hello``."""
+
+    def test_worker_imports_leave_scipy_out(self):
+        # scipy.stats alone costs a spawned worker ~1.4 s; only the
+        # sampling-statistics functions import it, on first use.
+        import repro
+
+        src_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        code = ("import sys, repro, repro.cli, "
+                "repro.campaign.dist.worker; "
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+class TestWorkerWait:
+    """An idle worker waits on its socket, not in a sleep."""
+
+    def _connect(self):
+        """A worker-side stream plus the fake coordinator's end."""
+        server = _server_socket()
+        client = socket.create_connection(server.getsockname()[:2],
+                                          timeout=5)
+        conn, _ = server.accept()
+        server.close()
+        return FrameStream(client), FrameStream(conn)
+
+    def _work(self, script):
+        """Run ``DistWorker._work`` against ``script(coordinator)``."""
+        stream, coordinator = self._connect()
+        worker = DistWorker("127.0.0.1", 0, name="idle")
+        fake = threading.Thread(target=script, args=(coordinator,),
+                                daemon=True)
+        fake.start()
+        try:
+            start = time.monotonic()
+            worker._work(stream, None, {}, None)
+            elapsed = time.monotonic() - start
+            fake.join(5)
+        finally:
+            stream.close()
+            coordinator.close()
+        return worker, elapsed
+
+    def test_done_ends_a_waiting_worker_at_once(self):
+        def script(coordinator):
+            assert coordinator.read(timeout=5)["type"] == "request"
+            coordinator.send({"type": "wait", "seconds": 5})
+            time.sleep(0.1)
+            coordinator.send({"type": "done"})
+
+        worker, elapsed = self._work(script)
+        assert worker._finished
+        assert elapsed < 0.5  # a sleeping worker would take the full 1 s
+
+    def test_wait_timeout_re_requests(self):
+        gaps = []
+
+        def script(coordinator):
+            assert coordinator.read(timeout=5)["type"] == "request"
+            coordinator.send({"type": "wait", "seconds": 0.2})
+            sent = time.monotonic()
+            again = coordinator.read(timeout=5)
+            gaps.append((again["type"], time.monotonic() - sent))
+            coordinator.send({"type": "done"})
+
+        worker, _ = self._work(script)
+        assert worker._finished
+        (kind, gap), = gaps
+        assert kind == "request"
+        assert gap >= 0.15
+
+
 class TestDistEquality:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_memory_scan_is_bit_for_bit_serial(
@@ -418,6 +496,18 @@ class TestDistJournalInterop:
                               keep_records=True)
         assert again == memory_baseline
         assert again.execution.executed == 0
+
+    def test_dist_scan_feeds_the_section_store(
+            self, tmp_path, memory_golden, memory_baseline):
+        """Assembly stores fresh classes in a real journal's section
+        store: a fresh serial scan then composes every one of them."""
+        journal = tmp_path / "j.sqlite"
+        run_dist(memory_golden, journal=journal)
+        again = run_full_scan(memory_golden, journal=journal, resume=False,
+                              keep_records=True)
+        assert again == memory_baseline
+        assert again.execution.executed == 0
+        assert again.execution.composed_hits > 0
 
     def test_serial_journal_resumes_distributed(
             self, tmp_path, memory_golden, memory_baseline):

@@ -19,7 +19,8 @@ from repro.campaign import (
     run_full_scan,
     run_sampling,
 )
-from repro.campaign.parallel import class_cost, shard_by_cost
+from repro.campaign.parallel import (EXPERIMENT_OVERHEAD_CYCLES,
+                                     class_cost, shard_by_cost)
 from repro.faultspace.defuse import ByteInterval, LIVE
 from repro.programs import all_programs, bin_sem2, hi, micro
 
@@ -118,6 +119,15 @@ class TestSharding:
         long = self._interval(1, 2, 91)  # same injection slot, longer span
         assert class_cost(long, total) \
             == class_cost(short, total) + long.length - short.length
+
+    def test_class_cost_charges_a_fixed_overhead_per_experiment(self):
+        # Injected on the last cycle, the class replays one cycle, yet
+        # each of its experiments still restores, injects and classifies.
+        total = 100
+        last = self._interval(0, total, total)
+        for bits in (8, 32):
+            assert class_cost(last, total, bits=bits) \
+                >= bits * EXPERIMENT_OVERHEAD_CYCLES
 
 
 class TestPicklability:
